@@ -8,16 +8,31 @@ its four incident dart ends (the strand runs straight through, so the
 two ends of one passage sit opposite each other).  Faces are the orbits
 of the map d -> next(other_end(d)); the word embeds in the sphere
 exactly when some assignment produces n + 2 faces.
+
+The bits are read off the interlacement graph, where N(x) is the set of
+chords interleaved with chord x (Rosenstiehl 1976; de Fraysseix and
+Ossona de Mendez, "On a characterization of Gauss codes", Discrete
+Comput. Geom. 22, 1999).  Every chord of a sphere curve has even degree,
+and for interleaved chords a before c in first occurrence order, with
+passages at p1 < q1 < p2 < q2, every realization satisfies the pair rule
+
+    bit_a XOR bit_c = (|N(a) & N(c)| + q1 - p1 - 1) mod 2.
+
+The rule fixes the bits of each interlacement component up to flipping
+the whole component, so propagating it from the first chord of each
+component with bit 0 gives the lexicographically least bit vector that
+can realize the word, in time polynomial in n.  The face count stays
+the certificate: a word is accepted only when those bits give n + 2
+faces.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
-from .words import Word, canonical, letters, positions, validate_word
+from .words import Word, canonical, interlacement_masks, letters, positions, validate_word
 
 
 class NotRealizableError(ValueError):
@@ -167,6 +182,36 @@ _EMPTY_INVENTORY = FaceInventory(
 )
 
 
+def _propagated_bits(w: Word) -> "Tuple[int, ...] | None":
+    """The least bits that the pair rule allows, or None if it allows none."""
+    nbrs = interlacement_masks(w)
+    if any(mask.bit_count() % 2 for mask in nbrs):
+        return None
+    pos = positions(w)
+    firsts = [pos[label][0] for label in letters(w)]
+    bits = [-1] * len(nbrs)
+    for root in range(len(nbrs)):
+        if bits[root] >= 0:
+            continue
+        bits[root] = 0
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            rest = nbrs[a]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                c = low.bit_length() - 1
+                gap = abs(firsts[c] - firsts[a])
+                want = bits[a] ^ (((nbrs[a] & nbrs[c]).bit_count() + gap - 1) & 1)
+                if bits[c] < 0:
+                    bits[c] = want
+                    stack.append(c)
+                elif bits[c] != want:
+                    return None
+    return tuple(bits)
+
+
 @lru_cache(maxsize=65536)
 def _realize_cached(w: Word) -> "Embedding | None":
     n = len(w) // 2
@@ -174,16 +219,22 @@ def _realize_cached(w: Word) -> "Embedding | None":
         # The simple closed curve splits the sphere into two faces with
         # no crossings on their boundary.
         return Embedding(word=(), bits=(), inventory=_EMPTY_INVENTORY)
-    for bits in itertools.product((0, 1), repeat=n):
-        sigma = _next_dart(w, bits)
-        orbits = _face_orbits(sigma)
-        if len(orbits) == n + 2:
-            return Embedding(word=w, bits=bits, inventory=_build_faces(w, orbits))
-    return None
+    bits = _propagated_bits(w)
+    if bits is None:
+        return None
+    orbits = _face_orbits(_next_dart(w, bits))
+    if len(orbits) != n + 2:
+        return None
+    return Embedding(word=w, bits=bits, inventory=_build_faces(w, orbits))
 
 
 def realize(word: Sequence[str]) -> Embedding:
-    """A sphere embedding of the word; raises NotRealizableError if none."""
+    """The sphere embedding with the least rotation bits.
+
+    The bits come from the pair rule of the module docstring, the least
+    choice in each interlacement component, and are accepted only when
+    they give n + 2 faces.  Raises NotRealizableError otherwise.
+    """
     w = tuple(word)
     validate_word(w)
     found = _realize_cached(w)
@@ -192,7 +243,7 @@ def realize(word: Sequence[str]) -> Embedding:
     return found
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def _realizable_by_shape(shape: Word) -> bool:
     return _realize_cached(shape) is not None
 
@@ -204,7 +255,7 @@ def is_realizable(word: Sequence[str]) -> bool:
 
 
 def faces(word: Sequence[str]) -> FaceInventory:
-    """Face inventory of the first realization found (deterministic)."""
+    """Face inventory of ``realize(word)``, the least-bits embedding."""
     return realize(word).inventory
 
 

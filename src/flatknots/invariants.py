@@ -18,8 +18,8 @@ from .words import (
     Word,
     canonical,
     chord_count,
+    interlacement_masks,
     letters,
-    positions,
     prime_decompose,
     validate_word,
 )
@@ -30,18 +30,16 @@ CURL_SHAPE: Word = ("a", "a")
 
 @lru_cache(maxsize=None)
 def _interlacement_items(w: Word) -> Tuple[Tuple[str, FrozenSet[str]], ...]:
-    pos = positions(w)
     labels = letters(w)
-    adjacency: Dict[str, Set[str]] = {label: set() for label in labels}
-    for i, a in enumerate(labels):
-        p1, p2 = pos[a]
-        for b in labels[i + 1 :]:
-            q1, q2 = pos[b]
-            inside = (p1 < q1 < p2) + (p1 < q2 < p2)
-            if inside == 1:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-    return tuple((label, frozenset(adjacency[label])) for label in labels)
+    items = []
+    for label, mask in zip(labels, interlacement_masks(w)):
+        nbrs = []
+        while mask:
+            low = mask & -mask
+            nbrs.append(labels[low.bit_length() - 1])
+            mask ^= low
+        items.append((label, frozenset(nbrs)))
+    return tuple(items)
 
 
 def interlacement(word: Sequence[str]) -> Dict[str, FrozenSet[str]]:
@@ -49,13 +47,6 @@ def interlacement(word: Sequence[str]) -> Dict[str, FrozenSet[str]]:
     w = tuple(word)
     validate_word(w)
     return dict(_interlacement_items(w))
-
-
-def interlaced_pairs(word: Sequence[str]) -> FrozenSet[FrozenSet[str]]:
-    adjacency = interlacement(word)
-    return frozenset(
-        frozenset((a, b)) for a, nbrs in adjacency.items() for b in nbrs
-    )
 
 
 def cross_chord_number(word: Sequence[str]) -> int:

@@ -10,7 +10,7 @@ word denotes the simple closed curve.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 Word = Tuple[str, ...]
 
@@ -92,6 +92,31 @@ def positions(word: Sequence[str]) -> Dict[str, Tuple[int, int]]:
         else:
             first[label] = i
     return out
+
+
+def interlacement_masks(word: Sequence[str]) -> Tuple[int, ...]:
+    """The interlacement graph as bitsets, one per chord in first occurrence order.
+
+    Bit j of entry i is set when chords i and j interleave, that is when
+    chord j has exactly one passage between the two passages of chord i.
+    """
+    index: Dict[str, int] = {}
+    masks: List[int] = []
+    # prefix holds the chords met an odd number of times so far; after[i]
+    # is its value just past the first passage of chord i.
+    prefix = 0
+    after: List[int] = []
+    for label in word:
+        i = index.get(label)
+        if i is None:
+            index[label] = len(masks)
+            prefix ^= 1 << len(masks)
+            after.append(prefix)
+            masks.append(0)
+        else:
+            masks[i] = prefix ^ after[i]
+            prefix ^= 1 << i
+    return tuple(masks)
 
 
 def rank_sequence(seq: Sequence[str]) -> Tuple[int, ...]:

@@ -1,4 +1,6 @@
 import itertools
+import random
+from functools import lru_cache
 
 import pytest
 
@@ -19,7 +21,78 @@ from flatknots.embedding import (
     realize,
     vertex_rotations,
 )
-from flatknots.words import canonical, chord_count
+from flatknots.corpus import load_corpus
+from flatknots.explore import twist_family
+from flatknots.words import canonical, chord_count, connected_sum
+
+BAD_FACTOR = tuple("abcabdecde")
+
+
+@lru_cache(maxsize=None)
+def _realizing_vectors(n):
+    """Each matching on n chords with its bit vectors that give n + 2 faces.
+
+    The vectors come from ``oracles.corner_faces`` in product order.  The
+    oracle decides realizability once per class of rotations, reversals
+    and relabelings (it is a property of the curve), so vectors are only
+    listed for the matchings of realizable classes; the others have none.
+    """
+    by_class = {}
+    for word in oracles.enumerate_matchings(n):
+        by_class.setdefault(min(oracles.all_canonical_variants(word)), []).append(word)
+    out = {}
+    for members in by_class.values():
+        realizable = oracles.corner_realizable(members[0])
+        for word in members:
+            vectors = ()
+            if realizable:
+                vectors = tuple(
+                    bits
+                    for bits in itertools.product((0, 1), repeat=n)
+                    if len(oracles.corner_faces(word, bits)) == n + 2
+                )
+                assert vectors, word
+            out[word] = vectors
+    return out
+
+
+def _interlacement(word):
+    nbrs = {label: set() for label in word}
+    for a, c in oracles.interlacement_edges(word):
+        nbrs[a].add(c)
+        nbrs[c].add(a)
+    return nbrs
+
+
+def _pair_rule_holds(word, bits):
+    """bit_a ^ bit_c == (|N(a) & N(c)| + q1 - p1 - 1) mod 2 on every edge."""
+    pos = oracles.word_positions(word)
+    index = {label: i for i, label in enumerate(sorted(pos, key=lambda x: pos[x][0]))}
+    nbrs = _interlacement(word)
+    for a, c in oracles.interlacement_edges(word):
+        if pos[a][0] > pos[c][0]:
+            a, c = c, a
+        parity = (len(nbrs[a] & nbrs[c]) + pos[c][0] - pos[a][0] - 1) % 2
+        if bits[index[a]] ^ bits[index[c]] != parity:
+            return False
+    return True
+
+
+def _components(word):
+    nbrs = _interlacement(word)
+    seen = set()
+    count = 0
+    for label in nbrs:
+        if label in seen:
+            continue
+        count += 1
+        stack = [label]
+        seen.add(label)
+        while stack:
+            for other in nbrs[stack.pop()] - seen:
+                seen.add(other)
+                stack.append(other)
+    return count
 
 
 def test_realizable_frozen_examples():
@@ -81,9 +154,57 @@ def test_face_totals_match_euler_count():
 
 
 def test_realizability_agrees_with_corner_walk_oracle():
-    for n in (1, 2, 3, 4):
-        for word in oracles.enumerate_matchings(n):
-            assert is_realizable(word) == oracles.corner_realizable(word), word
+    for n in range(1, 7):
+        for word, vectors in _realizing_vectors(n).items():
+            assert is_realizable(word) == bool(vectors), word
+
+
+def test_pair_rule_is_necessary_and_fixes_each_component_up_to_a_flip():
+    for n in range(1, 7):
+        for word, vectors in _realizing_vectors(n).items():
+            if not vectors:
+                continue
+            assert all(_pair_rule_holds(word, bits) for bits in vectors), word
+            assert len(vectors) == 2 ** _components(word), word
+
+
+def test_realize_returns_the_least_realizing_bits():
+    for n in range(1, 6):
+        for word, vectors in _realizing_vectors(n).items():
+            if not vectors:
+                with pytest.raises(NotRealizableError):
+                    realize(word)
+                continue
+            assert realize(word).bits == vectors[0], word
+
+
+def _catalog_sum(rng, min_chords):
+    catalog = [entry.word for entry in load_corpus()]
+    word = ()
+    while chord_count(word) < min_chords:
+        word = connected_sum(word, rng.choice(catalog), rng.randrange(len(word) + 1))
+    return word
+
+
+def test_large_words_realize_with_n_plus_two_faces():
+    rng = random.Random(7)
+    words = [twist_family(k) for k in (18, 48, 98)]
+    words += [_catalog_sum(rng, 20) for _ in range(4)]
+    for word in words:
+        n = chord_count(word)
+        assert n >= 20
+        assert len(oracles.corner_faces(word, realize(word).bits)) == n + 2
+
+
+def test_sums_with_an_unrealizable_factor_are_rejected():
+    assert not oracles.corner_realizable(BAD_FACTOR)
+    rng = random.Random(11)
+    for _ in range(4):
+        rest = _catalog_sum(rng, 15)
+        word = connected_sum(rest, BAD_FACTOR, rng.randrange(len(rest) + 1))
+        assert not is_realizable(word)
+        with pytest.raises(NotRealizableError):
+            realize(word)
 
 
 def test_face_multiset_agrees_with_corner_walk_oracle():

@@ -84,6 +84,13 @@ def test_h_one_needs_three_chords_and_is_unique_there():
     assert canonical(NONREALIZABLE_3) == ("a", "b", "a", "c", "b", "c")
 
 
+def test_interlacement_matches_oracle():
+    for n in (2, 3, 4, 5):
+        for word in oracles.enumerate_matchings(n):
+            edges = {tuple(sorted((a, b))) for a, nbrs in interlacement(word).items() for b in nbrs}
+            assert edges == oracles.interlacement_edges(word), word
+
+
 def test_cross_chord_matches_oracle():
     for n in (2, 3, 4):
         for word in oracles.enumerate_matchings(n):
