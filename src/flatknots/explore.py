@@ -30,6 +30,8 @@ from .invariants import (
 from .moves import MoveKind, MoveSite, apply_move, move_set, neighbors
 from .words import (
     Word,
+    _below,
+    _other_views,
     canonical,
     chord_count,
     label_for_rank,
@@ -232,26 +234,46 @@ def equivalence_query(
 
 @lru_cache(maxsize=None)
 def enumerate_words(n: int) -> Tuple[Word, ...]:
-    """All canonical double occurrence words with n chords, sorted."""
+    """All canonical double occurrence words with n chords, sorted.
+
+    Orderly generation (Read 1978, "Every one a winner"; McKay 1998,
+    "Isomorph-free exhaustive generation", J. Algorithms 26): only the
+    canonical rank sequence of each class is built, so each class comes
+    out once and no other word is canonicalized.  Rank sequences grow
+    depth first, one position at a time.  Each step closes an open
+    chord or opens chord ``next_rank``, in increasing rank order, so the
+    output comes out sorted.  A chord is opened only while unopened
+    chords remain, so open chords plus twice the unopened chords always
+    equal the positions left and every prefix can be completed.
+
+    A prefix ``w[:L]`` is pruned when a forward view ``w[s:L]`` or the
+    reversed view ``w[L-1::-1]`` falls below it (``words._below``):
+    every completion would then have a smaller rotation or reversal.  A
+    finished word is accepted only when none of its 4n views falls below
+    it, which makes it the least rank sequence of its class.
+    """
     if n < 0:
         raise ValueError("chord count must be nonnegative")
-    if n == 0:
-        return ((),)
-    shapes = set()
+    found: List[Word] = []
+    prefix: List[int] = []
 
-    def pair_up(free: Tuple[int, ...], word: List[str], next_rank: int) -> None:
-        if not free:
-            shapes.add(canonical(tuple(word)))
+    def extend(next_rank: int, open_chords: FrozenSet[int]) -> None:
+        if len(prefix) == 2 * n:
+            if not any(_below(view, prefix) for view in _other_views(prefix)):
+                found.append(tuple(label_for_rank(r) for r in prefix))
             return
-        first = free[0]
-        label = label_for_rank(next_rank)
-        for other in free[1:]:
-            word[first] = word[other] = label
-            pair_up(tuple(p for p in free[1:] if p != other), word, next_rank + 1)
-            word[first] = word[other] = ""
+        choices = sorted(open_chords) + ([next_rank] if next_rank < n else [])
+        for rank in choices:
+            prefix.append(rank)
+            if not (
+                _below(prefix[::-1], prefix)
+                or any(_below(prefix[s:], prefix) for s in range(1, len(prefix)))
+            ):
+                extend(next_rank + (rank == next_rank), open_chords ^ {rank})
+            prefix.pop()
 
-    pair_up(tuple(range(2 * n)), [""] * (2 * n), 0)
-    return tuple(sorted(shapes))
+    extend(0, frozenset())
+    return tuple(found)
 
 
 def enumerate_realizable(n: int) -> Tuple[Word, ...]:

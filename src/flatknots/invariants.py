@@ -28,7 +28,7 @@ TREFOIL_SHAPE: Word = ("a", "b", "c", "a", "b", "c")
 CURL_SHAPE: Word = ("a", "a")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def _interlacement_items(w: Word) -> Tuple[Tuple[str, FrozenSet[str]], ...]:
     labels = letters(w)
     items = []
@@ -60,7 +60,7 @@ def _remove_vertices(edges: FrozenSet[Tuple[str, str]], gone: Set[str]) -> Froze
     return frozenset(e for e in edges if e[0] not in gone and e[1] not in gone)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def _exact_cover(edges: FrozenSet[Tuple[str, str]]) -> int:
     if not edges:
         return 0
@@ -107,7 +107,7 @@ def h_invariant(word: Sequence[str]) -> int:
     return _h_cached(w)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def _h_cached(word: Word) -> int:
     adjacency = interlacement(word)
     labels = sorted(adjacency)

@@ -271,11 +271,9 @@ def apply_move(word: Sequence[str], site: MoveSite) -> Word:
 
 
 def neighbors(word: Sequence[str], kinds: Iterable[MoveKind]) -> List[Tuple[MoveSite, Word]]:
-    """(site, result) for every applicable site; law breaking sites are skipped."""
-    out: List[Tuple[MoveSite, Word]] = []
-    for site in find_sites(word, kinds):
-        try:
-            out.append((site, apply_move(word, site)))
-        except MoveError:
-            continue
-    return out
+    """(site, result) for every site that ``find_sites`` reports.
+
+    A site found here that breaks a law is a defect, so its MoveError
+    propagates instead of being skipped.
+    """
+    return [(site, apply_move(word, site)) for site in find_sites(word, kinds)]

@@ -130,28 +130,52 @@ def rank_sequence(seq: Sequence[str]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def rotations(word: Sequence[str]) -> Iterator[Tuple[str, ...]]:
+def _below(view: Sequence, best: Sequence[int]) -> bool:
+    """True when the rank sequence of ``view`` falls below ``best``.
+
+    Only the first ``len(view)`` ranks are compared.  Labels are ranked
+    by first occurrence as they are read, and the comparison stops at
+    the first rank that differs, so a losing view costs a few steps.
+    """
+    seen: Dict[object, int] = {}
+    for label, target in zip(view, best):
+        rank = seen.get(label)
+        if rank is None:
+            rank = seen[label] = len(seen)
+        if rank != target:
+            return rank < target
+    return False
+
+
+def _other_views(word: Sequence) -> Iterator[Tuple]:
+    """Every rotation of the word and of its reverse, the word itself aside."""
     w = tuple(word)
-    for s in range(max(1, len(w))):
+    r = w[::-1]
+    for s in range(1, len(w)):
         yield w[s:] + w[:s]
+    for s in range(len(r)):
+        yield r[s:] + r[:s]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def _canonical_cached(word: Word) -> Word:
-    if not word:
-        return ()
-    best = None
-    for view in (word, word[::-1]):
-        for rotated in rotations(view):
-            ranks = rank_sequence(rotated)
-            if best is None or ranks < best:
-                best = ranks
-    assert best is not None
+    best = rank_sequence(word)
+    for view in _other_views(word):
+        if _below(view, best):
+            best = rank_sequence(view)
     return tuple(label_for_rank(r) for r in best)
 
 
 def canonical(word: Sequence[str]) -> Word:
-    """Least relabeled representative over all rotations and reversal."""
+    """Least relabeled representative over all rotations and reversal.
+
+    The representative is the least rank sequence (``rank_sequence``)
+    over the 4n rotations of the word and of its reverse, written with
+    standard labels.  It starts from the word's own rank sequence and
+    replaces it only by a view that ``_below`` finds smaller; that test
+    stops at the first differing rank instead of building all 4n rank
+    sequences.
+    """
     w = tuple(word)
     validate_word(w)
     return _canonical_cached(w)
@@ -241,7 +265,7 @@ def prime_decompose(word: Sequence[str]) -> Tuple[Word, ...]:
     return _prime_decompose_cached(w)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def _prime_decompose_cached(w: Word) -> Tuple[Word, ...]:
     if not w:
         return ()

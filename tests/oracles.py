@@ -9,6 +9,7 @@ tail end 2i and head end 2i + 1), which is part of the public model.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 
@@ -90,6 +91,15 @@ def all_canonical_variants(word: Sequence[str]) -> Set[Tuple[int, ...]]:
                 ranks.append(seen[label])
             variants.add(tuple(ranks))
     return variants
+
+
+@lru_cache(maxsize=None)
+def matchings_by_class(n: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[str, ...], ...]], ...]:
+    """Every matching on n chords grouped under its least variant, sorted by it."""
+    by_class: Dict[Tuple[int, ...], List[Tuple[str, ...]]] = {}
+    for word in enumerate_matchings(n):
+        by_class.setdefault(min(all_canonical_variants(word)), []).append(word)
+    return tuple((least, tuple(members)) for least, members in sorted(by_class.items()))
 
 
 def reduce_r1_all_orders(word: Sequence[str]) -> Set[Tuple[int, ...]]:

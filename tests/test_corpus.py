@@ -83,7 +83,7 @@ def test_trivializing_two_exactly_on_twist_members(entries):
 
 
 def test_census_counts_and_corpus_agreement(entries):
-    for n, count in [(3, 1), (4, 1), (5, 2), (6, 3)]:
+    for n, count in [(3, 1), (4, 1), (5, 2), (6, 3), (7, 10)]:
         census = reduced_prime_census(n)
         assert len(census) == count
         named = {e.word for e in entries if e.name.startswith(str(n))}

@@ -37,11 +37,8 @@ def _realizing_vectors(n):
     and relabelings (it is a property of the curve), so vectors are only
     listed for the matchings of realizable classes; the others have none.
     """
-    by_class = {}
-    for word in oracles.enumerate_matchings(n):
-        by_class.setdefault(min(oracles.all_canonical_variants(word)), []).append(word)
     out = {}
-    for members in by_class.values():
+    for _, members in oracles.matchings_by_class(n):
         realizable = oracles.corner_realizable(members[0])
         for word in members:
             vectors = ()

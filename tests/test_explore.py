@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles
 from flatknots.embedding import is_realizable
 from flatknots.explore import (
     ClassSearchResult,
@@ -23,7 +24,7 @@ from flatknots.invariants import (
     trivializing_number,
 )
 from flatknots.moves import MoveKind, apply_move, move_set
-from flatknots.words import canonical, connected_sum, is_prime
+from flatknots.words import canonical, connected_sum, is_prime, rank_sequence
 
 from sample_words import CURL, FIGURE8, TREFOIL
 
@@ -190,12 +191,19 @@ def test_enumerate_words_counts():
     assert len(enumerate_words(3)) == 5
     assert len(enumerate_words(4)) == 17
     assert len(enumerate_words(5)) == 79
+    assert len(enumerate_words(6)) == 554
+    assert len(enumerate_words(7)) == 5283
 
 
 def test_enumerate_words_are_sorted_canonical_forms():
-    shapes = enumerate_words(3)
-    assert shapes == tuple(sorted(shapes))
-    assert all(canonical(w) == w for w in shapes)
+    # Orderly generation must give exactly the least variant of every
+    # chord matching, once each, in sorted order.
+    for n in range(7):
+        shapes = enumerate_words(n)
+        expected = [least for least, _ in oracles.matchings_by_class(n)]
+        assert [rank_sequence(w) for w in shapes] == expected, n
+        assert shapes == tuple(sorted(shapes))
+        assert all(canonical(w) == w for w in shapes)
 
 
 def test_enumerate_realizable_counts():

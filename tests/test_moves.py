@@ -3,6 +3,8 @@ import pytest
 import oracles
 from sample_words import CURL, FIGURE8, TREFOIL
 from flatknots.embedding import is_realizable
+from flatknots import moves
+from flatknots.explore import enumerate_words
 from flatknots.invariants import (
     cross_chord_number,
     h_invariant,
@@ -178,18 +180,21 @@ def test_triangle_cross_change_laws_small_words():
     assert checked > 50
 
 
-def test_no_triangle_site_breaks_realizability_small_words():
-    # apply_move only raises when a law fails; none may fail here.
-    triangle_kinds = {
-        MoveKind.STRONG_CONTRACT,
-        MoveKind.STRONG_EXPAND,
-        MoveKind.WEAK_SLIDE,
-    }
-    for n in (3, 4, 5):
-        for word in _canonical_realizable(n):
-            sites = find_sites(word, triangle_kinds)
-            applied = neighbors(word, triangle_kinds)
-            assert len(applied) == len(sites), word
+def test_no_site_breaks_a_law_small_words():
+    # neighbors lets a MoveError from apply_move propagate, so this fails
+    # if any site of any class with n <= 6 breaks a law.
+    every_kind = set(MoveKind)
+    applied = sum(
+        len(neighbors(word, every_kind)) for n in range(7) for word in enumerate_words(n)
+    )
+    assert applied == 9173
+
+
+def test_neighbors_propagates_a_broken_law(monkeypatch):
+    bogus = MoveSite(MoveKind.CURL_DELETE, (0,), ("a",))
+    monkeypatch.setattr(moves, "find_sites", lambda word, kinds: [bogus])
+    with pytest.raises(MoveError, match="no adjacent equal pair"):
+        neighbors(TREFOIL, {MoveKind.CURL_DELETE})
 
 
 def test_strong_moves_preserve_h_and_residue():

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sample_words import CURL, FIGURE8, TREFOIL
@@ -108,6 +110,26 @@ def test_canonical_idempotent_and_invariant():
             assert canonical(word[::-1]) == c
             relabeled = tuple(label.upper() for label in word)
             assert canonical(relabeled) == c
+
+
+@st.composite
+def _word_and_symmetry(draw):
+    n = draw(st.integers(1, 16))
+    word = tuple(draw(st.permutations([f"c{i}" for i in range(n)] * 2)))
+    shift = draw(st.integers(0, 2 * n - 1))
+    renames = draw(st.permutations([f"r{i}" for i in range(n)]))
+    return word, shift, dict(zip((f"c{i}" for i in range(n)), renames))
+
+
+@settings(derandomize=True)
+@given(_word_and_symmetry())
+def test_canonical_is_least_variant_and_invariant_on_random_words(case):
+    word, shift, renames = case
+    c = canonical(word)
+    assert rank_sequence(c) == min(oracles.all_canonical_variants(word))
+    assert canonical(word[shift:] + word[:shift]) == c
+    assert canonical(word[::-1]) == c
+    assert canonical(tuple(renames[label] for label in word)) == c
 
 
 def test_words_equal():
