@@ -180,6 +180,20 @@ def test_triangle_cross_change_laws_small_words():
     assert checked > 50
 
 
+def test_no_triangle_site_breaks_realizability_small_words():
+    # apply_move only raises when a law fails; none may fail here.
+    triangle_kinds = {
+        MoveKind.STRONG_CONTRACT,
+        MoveKind.STRONG_EXPAND,
+        MoveKind.WEAK_SLIDE,
+    }
+    for n in (3, 4, 5):
+        for word in _canonical_realizable(n):
+            sites = find_sites(word, triangle_kinds)
+            applied = neighbors(word, triangle_kinds)
+            assert len(applied) == len(sites), word
+
+
 def test_no_site_breaks_a_law_small_words():
     # neighbors lets a MoveError from apply_move propagate, so this fails
     # if any site of any class with n <= 6 breaks a law.
