@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .embedding import faces, is_realizable
+from .embedding import _realizable_by_shape, faces
 from .invariants import (
     CURL_SHAPE,
     TREFOIL_SHAPE,
@@ -277,7 +277,8 @@ def enumerate_words(n: int) -> Tuple[Word, ...]:
 
 
 def enumerate_realizable(n: int) -> Tuple[Word, ...]:
-    return tuple(w for w in enumerate_words(n) if is_realizable(w))
+    # Enumerated words are canonical already, so the shape is checked as is.
+    return tuple(w for w in enumerate_words(n) if _realizable_by_shape(w))
 
 
 def strong_trivial_test(word: Sequence[str]) -> bool:

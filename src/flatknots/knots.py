@@ -7,22 +7,34 @@ two over-strand dart ends either join their counterclockwise
 predecessors (an A split) or their counterclockwise successors (a B
 split); a state picks one split per crossing, closes the arcs into
 loops, and contributes A^(a - b) * (-A^2 - A^(-2))^(loops - 1).
+
+The sum is taken by a sweep, not by listing the 2^n states (the
+tangle-cutting idea of Bar-Natan, "Fast Khovanov homology
+computations", JKTR 16, 2007).  Crossings are added one at a time in
+chord (first occurrence) order.  After each step the open dart ends
+are the placed ends whose arc partner is not placed yet, and the
+frontier is their pairing: two open ends are paired when a path of
+split joins and closed arcs runs between them.  Each frontier keeps a
+tally (B splits, closed loops) -> number of partial states.  Adding a
+crossing joins its four dart ends in pairs by the chosen split; every
+arc whose two ends are then both placed either closes a loop (its ends
+were paired) or joins two paths into one.  Once all crossings are in,
+the frontier is empty and the bracket is built from the one remaining
+tally, so the work follows the number of frontiers, not 2^n.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
 from .embedding import realize, vertex_rotations
 from .laurent import (
     Laurent,
-    laurent_add,
     laurent_mul,
     laurent_one,
-    laurent_pow,
+    laurent_trim,
     monomial,
 )
 from .words import Word, chord_count, letters, positions, validate_word
@@ -134,35 +146,48 @@ def _split_pairs(diagram: Diagram) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     return tuple(out)
 
 
-class _DartUnion:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
+_Tally = Dict[Tuple[int, int], int]
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        self.parent[self.find(x)] = self.find(y)
+_DELTA: Laurent = {2: -1, -2: -1}
 
 
-def _loops_for_state(
-    total: int,
-    splits: Sequence[Tuple[Tuple[int, int], ...]],
-    state: Sequence[int],
-) -> int:
-    uf = _DartUnion(2 * total)
-    for arc in range(total):
-        uf.union(2 * arc, 2 * arc + 1)
-    for joins, choice in zip(splits, state):
-        first, second = (joins[0], joins[1]) if choice == 0 else (joins[2], joins[3])
-        uf.union(first[0], first[1])
-        uf.union(second[0], second[1])
-    return len({uf.find(d) for d in range(2 * total)})
+def _sweep(diagram: Diagram, options: Sequence[Tuple[int, ...]]) -> _Tally:
+    """(B splits, loops) -> state count, each crossing split as ``options`` allows."""
+    placed: Set[int] = set()
+    ends: Tuple[int, ...] = ()
+    frontier: Dict[Tuple[int, ...], _Tally] = {(): {(0, 0): 1}}
+    for joins, splits in zip(_split_pairs(diagram), options):
+        darts = {d for join in joins for d in join}
+        placed |= darts
+        # Arcs whose two ends are both placed from now on, each met once.
+        arcs = [
+            (d, d ^ 1)
+            for d in sorted(darts)
+            if d ^ 1 in placed and (d ^ 1 not in darts or d % 2 == 0)
+        ]
+        next_ends = tuple(sorted(d for d in placed if d ^ 1 not in placed))
+        swept: Dict[Tuple[int, ...], _Tally] = {}
+        for pairing, tally in frontier.items():
+            for split in splits:
+                partner = dict(zip(ends, pairing))
+                for x, y in joins[2 * split : 2 * split + 2]:
+                    partner[x] = y
+                    partner[y] = x
+                closed = 0
+                for x, y in arcs:
+                    far_x = partner.pop(x)
+                    far_y = partner.pop(y)
+                    if far_x == y:
+                        closed += 1
+                    else:
+                        partner[far_x] = far_y
+                        partner[far_y] = far_x
+                bucket = swept.setdefault(tuple(partner[d] for d in next_ends), {})
+                for (b_count, loops), count in tally.items():
+                    key = (b_count + split, loops + closed)
+                    bucket[key] = bucket.get(key, 0) + count
+        frontier, ends = swept, next_ends
+    return frontier[()]
 
 
 def smoothing_loops(diagram: Diagram, state: Sequence[int]) -> int:
@@ -171,20 +196,8 @@ def smoothing_loops(diagram: Diagram, state: Sequence[int]) -> int:
         raise DiagramError("state length must match the crossing count")
     if not diagram.word:
         return 1
-    return _loops_for_state(len(diagram.word), _split_pairs(diagram), state)
-
-
-def state_loop_counts(diagram: Diagram) -> Tuple[int, ...]:
-    """Loop counts over all states, in binary counting order (0 = A)."""
-    n = diagram.crossings
-    if n == 0:
-        return (1,)
-    splits = _split_pairs(diagram)
-    total = len(diagram.word)
-    return tuple(
-        _loops_for_state(total, splits, state)
-        for state in itertools.product((0, 1), repeat=n)
-    )
+    ((_, loops),) = _sweep(diagram, [(1 if s else 0,) for s in state])
+    return loops
 
 
 def kauffman_bracket(diagram: Diagram) -> Laurent:
@@ -192,19 +205,16 @@ def kauffman_bracket(diagram: Diagram) -> Laurent:
     n = diagram.crossings
     if n == 0:
         return laurent_one()
-    splits = _split_pairs(diagram)
-    total = len(diagram.word)
-    delta = {2: -1, -2: -1}
+    tally = _sweep(diagram, [(0, 1)] * n)
+    delta_powers = [laurent_one()]
+    for _ in range(max(loops for _, loops in tally) - 1):
+        delta_powers.append(laurent_mul(delta_powers[-1], _DELTA))
     bracket: Laurent = {}
-    for state in itertools.product((0, 1), repeat=n):
-        b_count = sum(state)
-        loops = _loops_for_state(total, splits, state)
-        term = laurent_mul(
-            monomial(n - 2 * b_count),
-            laurent_pow(delta, loops - 1),
-        )
-        bracket = laurent_add(bracket, term)
-    return bracket
+    for (b_count, loops), count in tally.items():
+        for exponent, coefficient in delta_powers[loops - 1].items():
+            e = n - 2 * b_count + exponent
+            bracket[e] = bracket.get(e, 0) + count * coefficient
+    return laurent_trim(bracket)
 
 
 def jones_normalized(diagram: Diagram) -> Laurent:

@@ -9,6 +9,7 @@ tail end 2i and head end 2i + 1), which is part of the public model.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
@@ -314,6 +315,70 @@ def seifert_circles(word: Sequence[str]) -> int:
         union(in_p, out_q)
         union(in_q, out_p)
     return len({find(d) for d in range(2 * total)})
+
+
+# ---------------------------------------------------------------------------
+# bracket polynomial by the full 2^n state sum
+
+
+def bracket_state_sum(
+    word: Sequence[str], bits: Sequence[int], over_first: Sequence[bool]
+) -> Dict[int, int]:
+    """Kauffman bracket as an exponent -> coefficient map, over all 2^n states.
+
+    At each crossing the over strand's two ends join the port just
+    before them counterclockwise (A) or just after them (B); a state
+    with a splits of kind A, b of kind B and some loops adds
+    A^(a - b) * (-A^2 - A^(-2))^(loops - 1).
+    """
+    w = tuple(word)
+    total = len(w)
+    n = total // 2
+    if n == 0:
+        return {0: 1}
+    order: Dict[str, int] = {}
+    for label in w:
+        if label not in order:
+            order[label] = len(order)
+    choices = []
+    for label, (p, q) in word_positions(w).items():
+        in_p = 2 * ((p - 1) % total) + 1
+        out_p = 2 * p
+        in_q = 2 * ((q - 1) % total) + 1
+        out_q = 2 * q
+        if bits[order[label]] == 0:
+            ports = (in_p, in_q, out_p, out_q)
+        else:
+            ports = (in_p, out_q, out_p, in_q)
+        over = {in_p, out_p} if over_first[order[label]] else {in_q, out_q}
+        slots = [k for k in range(4) if ports[k] in over]
+        a_joins = [(ports[k - 1], ports[k]) for k in slots]
+        b_joins = [(ports[k], ports[(k + 1) % 4]) for k in slots]
+        choices.append((order[label], a_joins, b_joins))
+    choices.sort()
+
+    out: Dict[int, int] = {}
+    for state in itertools.product((0, 1), repeat=n):
+        parent = list(range(2 * total))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i in range(total):
+            parent[find(2 * i)] = find(2 * i + 1)
+        for (_, a_joins, b_joins), split in zip(choices, state):
+            for x, y in b_joins if split else a_joins:
+                parent[find(x)] = find(y)
+        loops = len({find(d) for d in range(2 * total)})
+        b_count = sum(state)
+        k = loops - 1
+        for j in range(k + 1):
+            e = n - 2 * b_count + 2 * k - 4 * j
+            out[e] = out.get(e, 0) + (-1) ** k * math.comb(k, j)
+    return {e: c for e, c in out.items() if c != 0}
 
 
 # ---------------------------------------------------------------------------

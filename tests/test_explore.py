@@ -212,6 +212,9 @@ def test_enumerate_realizable_counts():
     assert len(enumerate_realizable(3)) == 3
     assert len(enumerate_realizable(4)) == 5
     assert len(enumerate_realizable(5)) == 15
+    for n in range(7):
+        kept = tuple(w for w in enumerate_words(n) if is_realizable(w))
+        assert enumerate_realizable(n) == kept, n
 
 
 def test_enumerate_words_rejects_negative():

@@ -1,6 +1,9 @@
 """Laurent arithmetic, crossing resolutions, state sums, and determinants."""
 
 import itertools
+import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +23,6 @@ from flatknots.knots import (
     resolve,
     seifert_state,
     smoothing_loops,
-    state_loop_counts,
 )
 from flatknots.laurent import (
     laurent_add,
@@ -38,7 +40,7 @@ from flatknots.laurent import (
 from flatknots.moves import MoveKind, apply_move, find_sites
 from flatknots.words import connected_sum
 
-from oracles import goeritz_determinant, seifert_circles
+from oracles import bracket_state_sum, goeritz_determinant, seifert_circles
 from sample_words import CURL, FIGURE8, NONREALIZABLE_2, TREFOIL
 
 
@@ -72,7 +74,7 @@ def test_empty_word_diagram():
     assert kauffman_bracket(diagram) == {0: 1}
     assert jones_normalized(diagram) == {0: 1}
     assert determinant(diagram) == 1
-    assert state_loop_counts(diagram) == (1,)
+    assert smoothing_loops(diagram, ()) == 1
 
 
 def test_positive_curl_bracket():
@@ -129,10 +131,45 @@ def test_twist_family_determinants_step_by_two():
     assert [alternating_determinant(twist_family(n)) for n in range(1, 6)] == [
         3, 5, 7, 9, 11,
     ]
+    for n in range(6, 28):
+        assert alternating_determinant(twist_family(n)) == 2 * n + 1
+    assert alternating_determinant(twist_family(28)) == 57  # 30 crossings
+
+
+def test_thirty_crossing_bracket_keeps_the_fourth_root_guard():
+    word = twist_family(28)
+    for diagram in (positive_resolution(word), alternating_diagram(word)):
+        assert diagram.crossings == 30
+        assert len({e % 4 for e in kauffman_bracket(diagram)}) == 1
+        assert all(e % 4 == 0 for e in jones_normalized(diagram))
+
+
+def test_bracket_sweep_matches_state_sum_oracle():
+    rng = random.Random(4)
+    for n in range(1, 7):
+        for word in enumerate_realizable(n):
+            positive = positive_resolution(word)
+            diagrams = [positive, alternating_diagram(word), mirror_diagram(positive)]
+            for _ in range(3):
+                diagrams.append(resolve(word, [rng.random() < 0.5 for _ in range(n)]))
+            for diagram in diagrams:
+                expected = bracket_state_sum(word, diagram.bits, diagram.over_first)
+                assert kauffman_bracket(diagram) == expected, (word, diagram.over_first)
+
+
+def test_twist_brackets_match_frozen_state_sums():
+    # Values taken by the 2^n state sum and kept with the benchmark.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "frozen" / "brackets.json"
+    frozen = json.loads(path.read_text(encoding="utf-8"))
+    for n in (8, 10, 12):
+        diagram = positive_resolution(twist_family(n))
+        for key, function in (("bracket", kauffman_bracket), ("jones", jones_normalized)):
+            pairs = sorted([e, c] for e, c in function(diagram).items())
+            assert pairs == frozen[str(n)][key], (n, key)
 
 
 def test_determinant_is_odd_and_matches_spanning_count():
-    for n in range(1, 5):
+    for n in range(1, 7):
         for word in enumerate_realizable(n):
             det = alternating_determinant(word)
             assert det % 2 == 1
@@ -143,7 +180,10 @@ def test_state_loops_never_exceed_chords_plus_one():
     for n in range(1, 5):
         for word in enumerate_realizable(n):
             diagram = alternating_diagram(word)
-            counts = state_loop_counts(diagram)
+            counts = [
+                smoothing_loops(diagram, state)
+                for state in itertools.product((0, 1), repeat=n)
+            ]
             assert len(counts) == 2 ** n
             assert max(counts) <= n + 1
             assert min(counts) >= 1
