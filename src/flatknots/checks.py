@@ -1,0 +1,275 @@
+"""Named checking suites and the catalog's one-triangle adjacency.
+
+Each suite re-derives one claim of the package from scratch and records
+one pass or fail line per check.  ``SUITES`` maps a suite name to its
+function; every suite takes the run to record into, a chord bound and
+a seed, and ignores the ones it does not need.  The ``deltas`` suite
+checks every site against ``moves.MOVE_LAWS``.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from .corpus import CorpusEntry
+from .embedding import is_realizable
+from .explore import (
+    SearchConfig,
+    enumerate_realizable,
+    equivalence_query,
+    search_class,
+    strong_trivial_test,
+    twist_family,
+    verify_path,
+)
+from .invariants import (
+    cross_chord_number,
+    h_invariant,
+    r1_normal_form,
+    trivializing_number,
+)
+from .knots import determinant, jones_normalized, positive_resolution
+from .moves import MOVE_LAWS, MoveKind, apply_move, find_sites, move_set
+from .words import Word, canonical, chord_count, connected_sum, format_word
+
+
+def move_deltas(word: Word, after: Word) -> Tuple[int, int, int]:
+    """Changes (dX, dtr, dH) from ``word`` to ``after``."""
+    return (
+        cross_chord_number(after) - cross_chord_number(word),
+        trivializing_number(after) - trivializing_number(word),
+        h_invariant(after) - h_invariant(word),
+    )
+
+
+def _orbit_under_curls(word: Word, max_chords: int, max_states: int = 500) -> Tuple[Word, ...]:
+    result = search_class(
+        word,
+        move_set("r1"),
+        SearchConfig(max_chords=max_chords, max_states=max_states),
+    )
+    return tuple(sorted(result.words))
+
+
+def _one_triangle_images(word: Word, max_chords: int) -> frozenset:
+    """Curl reduced forms reachable by curls plus exactly one triangle."""
+    images = set()
+    triangle_kinds = (
+        MoveKind.STRONG_CONTRACT,
+        MoveKind.STRONG_EXPAND,
+        MoveKind.WEAK_SLIDE,
+    )
+    for staged in _orbit_under_curls(word, max_chords):
+        for site in find_sites(staged, triangle_kinds):
+            images.add(r1_normal_form(apply_move(staged, site)))
+    return frozenset(images)
+
+
+def table_adjacency(entries: Sequence[CorpusEntry]) -> List[Tuple[str, str]]:
+    """Pairs related by finitely many curl moves and one triangle move.
+
+    Sound, window-bounded: each edge has an explicit witness inside a
+    one-extra-chord window around the larger word; absence of an edge
+    only means none was found in that window.
+    """
+    images = {
+        entry.name: _one_triangle_images(entry.word, chord_count(entry.word) + 1)
+        for entry in entries
+    }
+    normal = {entry.name: r1_normal_form(entry.word) for entry in entries}
+    edges = []
+    for i, first in enumerate(entries):
+        for second in entries[i + 1 :]:
+            if (
+                normal[second.name] in images[first.name]
+                or normal[first.name] in images[second.name]
+            ):
+                edges.append(tuple(sorted((first.name, second.name))))
+    return sorted(edges)
+
+
+def _random_word(rng: random.Random, n: int) -> Word:
+    slots: List[Optional[str]] = [None] * (2 * n)
+    free = list(range(2 * n))
+    for index in range(n):
+        label = chr(ord("a") + index) if index < 26 else f"x{index}"
+        first = free.pop(0)
+        other = free.pop(rng.randrange(len(free)))
+        slots[first] = slots[other] = label
+    return tuple(s for s in slots if s is not None)
+
+
+class SuiteRun:
+    """The checks one suite recorded, each a name, a verdict and a detail."""
+
+    def __init__(self) -> None:
+        self.checks: List[Dict[str, object]] = []
+
+    def record(self, name: str, passed: bool, detail: str) -> None:
+        self.checks.append({"name": name, "passed": passed, "detail": detail})
+
+    @property
+    def passed(self) -> bool:
+        return all(c["passed"] for c in self.checks)
+
+
+def _suite_parity(run: SuiteRun, max_n: int, seed: int) -> None:
+    failures = []
+    total = 0
+    for n in range(0, max_n + 1):
+        for word in enumerate_realizable(n):
+            total += 1
+            if trivializing_number(word) % 2 != 0:
+                failures.append(format_word(word))
+    run.record(
+        "tr-even",
+        not failures,
+        f"{total} realizable words with n <= {max_n}"
+        + (f"; first violation {failures[0]}" if failures else ""),
+    )
+
+
+def _check_deltas_on(word: Word, failures: List[str]) -> int:
+    sites = find_sites(word, tuple(MoveKind))
+    for site in sites:
+        dx, dtr, dh = move_deltas(word, apply_move(word, site))
+        law = MOVE_LAWS[site.kind]
+        if dx not in law.dx or dtr not in law.dtr or (law.keeps_h and dh != 0):
+            failures.append(
+                f"{format_word(word)} via {site.describe()} -> "
+                f"dX={dx} dtr={dtr} dH={dh}"
+            )
+    return len(sites)
+
+
+def _suite_deltas(run: SuiteRun, max_n: int, seed: int) -> None:
+    failures: List[str] = []
+    checked = 0
+    exhaustive_limit = min(max_n, 6)
+    for n in range(0, exhaustive_limit + 1):
+        for word in enumerate_realizable(n):
+            checked += _check_deltas_on(word, failures)
+    sampled = 0
+    if max_n > 6:
+        rng = random.Random(seed)
+        for n in range(7, max_n + 1):
+            hits = 0
+            for _ in range(2000):
+                if hits >= 25:
+                    break
+                word = _random_word(rng, n)
+                if not is_realizable(word):
+                    continue
+                checked += _check_deltas_on(canonical(word), failures)
+                sampled += 1
+                hits += 1
+    detail = f"{checked} site applications, exhaustive n <= {exhaustive_limit}"
+    if sampled:
+        detail += f", plus {sampled} sampled words up to n = {max_n}"
+    if failures:
+        detail += f"; first violation {failures[0]}"
+    run.record("move-deltas", not failures, detail)
+
+
+def _suite_twist(run: SuiteRun, max_n: int, seed: int) -> None:
+    words = {n: twist_family(n) for n in range(1, 9)}
+    bad_tr = [n for n, w in words.items() if trivializing_number(w) != 2]
+    run.record("twist-tr", not bad_tr, "tr = 2 for n = 1..8")
+    xs = {n: cross_chord_number(w) for n, w in words.items()}
+    bad_gap = [n for n in range(1, 8, 2) if xs[n + 1] - xs[n] != 1]
+    run.record(
+        "twist-x-step",
+        not bad_gap,
+        "X gains 1 at odd n; X = " + " ".join(str(xs[n]) for n in range(1, 9)),
+    )
+    for n in (1, 3):
+        res = equivalence_query(
+            words[n],
+            words[n + 1],
+            moves_name="weak",
+            config=SearchConfig(max_chords=chord_count(words[n + 1]) + 1),
+        )
+        ok = (
+            res.verdict == "equivalent"
+            and res.path is not None
+            and len(res.path) <= 2
+            and verify_path(res.path)
+        )
+        run.record(
+            f"twist-weak-path-{n}",
+            ok,
+            f"T({n}) ~ T({n + 1}) by a weak path of <= 2 moves",
+        )
+    res = equivalence_query(
+        words[2],
+        words[3],
+        moves_name="strong",
+        config=SearchConfig(max_chords=chord_count(words[3]) + 1),
+    )
+    run.record(
+        "twist-strong-step",
+        res.verdict == "equivalent" and res.path is not None and len(res.path) <= 2,
+        "T(2) ~ T(3) by a strong path of <= 2 moves",
+    )
+
+
+def _strong_trivial_targets(cap: int) -> frozenset:
+    """Canonical sums of at most two trefoils and one curl within ``cap``."""
+    trefoil = ("a", "b", "c", "a", "b", "c")
+    sums = [(), trefoil] + [
+        connected_sum(trefoil, trefoil, slot=slot) for slot in range(len(trefoil))
+    ]
+    expanded = set()
+    for word in sums:
+        expanded.add(canonical(word))
+        for slot in range(max(1, len(word))):
+            expanded.add(canonical(connected_sum(word, ("a", "a"), slot=slot)))
+    return frozenset(w for w in expanded if chord_count(w) <= cap)
+
+
+def _suite_strong_trivial(run: SuiteRun, max_n: int, seed: int) -> None:
+    kinds = (MoveKind.CURL_ADD, MoveKind.STRONG_EXPAND, MoveKind.STRONG_CONTRACT)
+    result = search_class((), kinds, SearchConfig(max_chords=7, max_states=10 ** 6))
+    offenders = [w for w in result.words if not strong_trivial_test(w)]
+    run.record(
+        "reached-are-trivial",
+        not offenders,
+        f"{len(result.words)} words reached within 7 chords"
+        + (f"; first offender {format_word(offenders[0])}" if offenders else ""),
+    )
+    targets = _strong_trivial_targets(7)
+    missing = [w for w in targets if w not in result.words]
+    run.record(
+        "targets-reached",
+        not missing,
+        f"{len(targets)} trefoil/curl sums within 7 chords"
+        + (f"; first missing {format_word(missing[0])}" if missing else ""),
+    )
+
+
+def _suite_bracket(run: SuiteRun, max_n: int, seed: int) -> None:
+    empty = jones_normalized(positive_resolution(()))
+    curl = jones_normalized(positive_resolution(("a", "a")))
+    run.record(
+        "normalized-units",
+        empty == {0: 1} and curl == {0: 1},
+        "normalized bracket of the empty word and one curl is 1",
+    )
+    trefoil_det = determinant(positive_resolution(("a", "b", "c", "a", "b", "c")))
+    run.record("trefoil-det", trefoil_det == 3, f"determinant {trefoil_det}")
+    dets = [determinant(positive_resolution(twist_family(n))) for n in (1, 3, 5)]
+    run.record(
+        "twist-dets-distinct",
+        len(set(dets)) == 3,
+        "determinants " + " ".join(str(d) for d in dets),
+    )
+
+
+SUITES: Dict[str, Callable[[SuiteRun, int, int], None]] = {
+    "parity": _suite_parity,
+    "deltas": _suite_deltas,
+    "twist": _suite_twist,
+    "strong-trivial": _suite_strong_trivial,
+    "bracket": _suite_bracket,
+}

@@ -10,43 +10,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from .corpus import CorpusEntry, CorpusError, load_corpus
-from .embedding import NotRealizableError, is_realizable
-from .explore import (
-    SearchConfig,
-    enumerate_realizable,
-    equivalence_query,
-    search_class,
-    strong_trivial_test,
-    twist_family,
-    verify_path,
-)
+from .checks import SUITES, SuiteRun, move_deltas, table_adjacency
+from .corpus import CorpusError, load_corpus
+from .embedding import NotRealizableError, realize
+from .explore import SearchConfig, equivalence_query, search_class, twist_family
 from .invariants import (
     InvariantReport,
     cross_chord_number,
-    h_invariant,
     invariant_report,
-    r1_normal_form,
     trivializing_number,
 )
-from .knots import (
-    determinant,
-    jones_normalized,
-    kauffman_bracket,
-    positive_resolution,
-)
+from .knots import determinant, jones_normalized, kauffman_bracket, positive_resolution
 from .laurent import laurent_format
-from .moves import MoveKind, apply_move, find_sites, move_set
+from .moves import apply_move, find_sites, move_set
 from .words import (
-    Word,
     WordError,
     canonical,
     chord_count,
-    connected_sum,
     format_word,
     parse_word,
     prime_decompose,
@@ -86,6 +69,10 @@ def report_from_dict(payload: Dict[str, object]) -> InvariantReport:
     )
 
 
+def _print_json(payload: object) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _print_report(report: InvariantReport, name: Optional[str] = None) -> None:
     head = f"{name}: " if name else ""
     print(
@@ -98,22 +85,17 @@ def _print_report(report: InvariantReport, name: Optional[str] = None) -> None:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     if args.corpus is not None:
-        entries = load_corpus(args.corpus)
-        targets = [(e.name, e.word) for e in entries]
+        if args.word is not None:
+            print("invariants: give a word or --corpus, not both", file=sys.stderr)
+            return EXIT_USAGE
+        reports = [(e.name, invariant_report(e.word)) for e in load_corpus(args.corpus)]
     else:
         if args.word is None:
             print("invariants: give a word or --corpus", file=sys.stderr)
             return EXIT_USAGE
-        targets = [(None, parse_word(args.word))]
-    reports = []
-    for name, word in targets:
-        if not is_realizable(word):
-            print(
-                f"word is not realizable in the sphere: {format_word(word)}",
-                file=sys.stderr,
-            )
-            return EXIT_UNREALIZABLE
-        reports.append((name, invariant_report(word)))
+        word = parse_word(args.word)
+        realize(word)
+        reports = [(None, invariant_report(word))]
     if args.json:
         payload: object
         if args.corpus is None:
@@ -122,57 +104,11 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
             payload = [
                 dict(report_to_dict(rep), name=name) for name, rep in reports
             ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         for name, rep in reports:
             _print_report(rep, name)
     return EXIT_OK
-
-
-def _orbit_under_curls(word: Word, max_chords: int, max_states: int = 500) -> Tuple[Word, ...]:
-    result = search_class(
-        word,
-        move_set("r1"),
-        SearchConfig(max_chords=max_chords, max_states=max_states),
-    )
-    return tuple(sorted(result.words))
-
-
-def _one_triangle_images(word: Word, max_chords: int) -> frozenset:
-    """Curl reduced forms reachable by curls plus exactly one triangle."""
-    images = set()
-    triangle_kinds = (
-        MoveKind.STRONG_CONTRACT,
-        MoveKind.STRONG_EXPAND,
-        MoveKind.WEAK_SLIDE,
-    )
-    for staged in _orbit_under_curls(word, max_chords):
-        for site in find_sites(staged, triangle_kinds):
-            images.add(r1_normal_form(apply_move(staged, site)))
-    return frozenset(images)
-
-
-def table_adjacency(entries: Sequence[CorpusEntry]) -> List[Tuple[str, str]]:
-    """Pairs related by finitely many curl moves and one triangle move.
-
-    Sound, window-bounded: each edge has an explicit witness inside a
-    one-extra-chord window around the larger word; absence of an edge
-    only means none was found in that window.
-    """
-    images = {
-        entry.name: _one_triangle_images(entry.word, chord_count(entry.word) + 1)
-        for entry in entries
-    }
-    normal = {entry.name: r1_normal_form(entry.word) for entry in entries}
-    edges = []
-    for i, first in enumerate(entries):
-        for second in entries[i + 1 :]:
-            if (
-                normal[second.name] in images[first.name]
-                or normal[first.name] in images[second.name]
-            ):
-                edges.append(tuple(sorted((first.name, second.name))))
-    return sorted(edges)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -192,7 +128,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             ],
             "one_triangle_edges": [list(edge) for edge in edges],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
         return EXIT_OK
     header = f"{'name':<6} {'n':>2} {'X':>3} {'X%3':>3} {'tr':>3} {'H':>2}  factors"
     print(header)
@@ -212,231 +148,18 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _random_word(rng: random.Random, n: int) -> Word:
-    slots: List[Optional[str]] = [None] * (2 * n)
-    free = list(range(2 * n))
-    for index in range(n):
-        label = chr(ord("a") + index) if index < 26 else f"x{index}"
-        first = free.pop(0)
-        other = free.pop(rng.randrange(len(free)))
-        slots[first] = slots[other] = label
-    return tuple(s for s in slots if s is not None)
-
-
-class _SuiteRun:
-    def __init__(self) -> None:
-        self.checks: List[Dict[str, object]] = []
-
-    def record(self, name: str, passed: bool, detail: str) -> None:
-        self.checks.append({"name": name, "passed": passed, "detail": detail})
-
-    @property
-    def passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
-
-
-def _suite_parity(run: _SuiteRun, max_n: int) -> None:
-    failures = []
-    total = 0
-    for n in range(0, max_n + 1):
-        for word in enumerate_realizable(n):
-            total += 1
-            if trivializing_number(word) % 2 != 0:
-                failures.append(format_word(word))
-    run.record(
-        "tr-even",
-        not failures,
-        f"{total} realizable words with n <= {max_n}"
-        + (f"; first violation {failures[0]}" if failures else ""),
-    )
-
-
-_DELTA_LAWS = {
-    MoveKind.CURL_ADD: (0, (0,), True),
-    MoveKind.CURL_DELETE: (0, (0,), True),
-    MoveKind.STRONG_CONTRACT: (3, (0, 2, -2), True),
-    MoveKind.STRONG_EXPAND: (3, (0, 2, -2), True),
-    MoveKind.WEAK_SLIDE: (1, (0,), False),
-}
-
-
-def _check_deltas_on(word: Word, failures: List[str]) -> int:
-    checked = 0
-    x0 = cross_chord_number(word)
-    tr0 = trivializing_number(word)
-    h0 = h_invariant(word)
-    for site in find_sites(word, tuple(MoveKind)):
-        after = apply_move(word, site)
-        dx = abs(cross_chord_number(after) - x0)
-        dtr = trivializing_number(after) - tr0
-        dh = h_invariant(after) - h0
-        want_dx, allowed_dtr, h_fixed = _DELTA_LAWS[site.kind]
-        if dx != want_dx or dtr not in allowed_dtr or (h_fixed and dh != 0):
-            failures.append(
-                f"{format_word(word)} via {site.describe()} -> "
-                f"dX={dx} dtr={dtr} dH={dh}"
-            )
-        checked += 1
-    return checked
-
-
-def _suite_deltas(run: _SuiteRun, max_n: int, seed: int) -> None:
-    failures: List[str] = []
-    checked = 0
-    exhaustive_limit = min(max_n, 6)
-    for n in range(0, exhaustive_limit + 1):
-        for word in enumerate_realizable(n):
-            checked += _check_deltas_on(word, failures)
-    sampled = 0
-    if max_n > 6:
-        rng = random.Random(seed)
-        for n in range(7, max_n + 1):
-            hits = 0
-            for _ in range(2000):
-                if hits >= 25:
-                    break
-                word = _random_word(rng, n)
-                if not is_realizable(word):
-                    continue
-                checked += _check_deltas_on(canonical(word), failures)
-                sampled += 1
-                hits += 1
-    detail = f"{checked} site applications, exhaustive n <= {exhaustive_limit}"
-    if sampled:
-        detail += f", plus {sampled} sampled words up to n = {max_n}"
-    if failures:
-        detail += f"; first violation {failures[0]}"
-    run.record("move-deltas", not failures, detail)
-
-
-def _suite_twist(run: _SuiteRun) -> None:
-    words = {n: twist_family(n) for n in range(1, 9)}
-    bad_tr = [n for n, w in words.items() if trivializing_number(w) != 2]
-    run.record("twist-tr", not bad_tr, "tr = 2 for n = 1..8")
-    xs = {n: cross_chord_number(w) for n, w in words.items()}
-    bad_gap = [n for n in range(1, 8, 2) if xs[n + 1] - xs[n] != 1]
-    run.record(
-        "twist-x-step",
-        not bad_gap,
-        "X gains 1 at odd n; X = " + " ".join(str(xs[n]) for n in range(1, 9)),
-    )
-    for n in (1, 3):
-        res = equivalence_query(
-            words[n],
-            words[n + 1],
-            moves_name="weak",
-            config=SearchConfig(max_chords=chord_count(words[n + 1]) + 1),
-        )
-        ok = (
-            res.verdict == "equivalent"
-            and res.path is not None
-            and len(res.path) <= 2
-            and verify_path(res.path)
-        )
-        run.record(
-            f"twist-weak-path-{n}",
-            ok,
-            f"T({n}) ~ T({n + 1}) by a weak path of <= 2 moves",
-        )
-    res = equivalence_query(
-        words[2],
-        words[3],
-        moves_name="strong",
-        config=SearchConfig(max_chords=chord_count(words[3]) + 1),
-    )
-    run.record(
-        "twist-strong-step",
-        res.verdict == "equivalent" and res.path is not None and len(res.path) <= 2,
-        "T(2) ~ T(3) by a strong path of <= 2 moves",
-    )
-
-
-def _strong_trivial_targets(cap: int) -> frozenset:
-    trefoil = ("a", "b", "c", "a", "b", "c")
-    curl = ("a", "a")
-    targets = {canonical(())}
-    bases = [(), trefoil]
-    sums = []
-    for base in bases:
-        sums.append(base)
-        for slot in range(max(1, len(base))):
-            for extra in ([], [trefoil]):
-                word = base
-                if extra:
-                    word = connected_sum(base, trefoil, slot=slot)
-                sums.append(word)
-    expanded = set()
-    for word in sums:
-        if chord_count(word) <= cap:
-            expanded.add(canonical(word))
-        for slot in range(max(1, len(word))):
-            curled = connected_sum(word, curl, slot=slot)
-            if chord_count(curled) <= cap:
-                expanded.add(canonical(curled))
-    return frozenset(expanded | targets)
-
-
-def _suite_strong_trivial(run: _SuiteRun) -> None:
-    kinds = (MoveKind.CURL_ADD, MoveKind.STRONG_EXPAND, MoveKind.STRONG_CONTRACT)
-    result = search_class((), kinds, SearchConfig(max_chords=7, max_states=10 ** 6))
-    offenders = [w for w in result.words if not strong_trivial_test(w)]
-    run.record(
-        "reached-are-trivial",
-        not offenders,
-        f"{len(result.words)} words reached within 7 chords"
-        + (f"; first offender {format_word(offenders[0])}" if offenders else ""),
-    )
-    targets = _strong_trivial_targets(7)
-    missing = [w for w in targets if w not in result.words]
-    run.record(
-        "targets-reached",
-        not missing,
-        f"{len(targets)} trefoil/curl sums within 7 chords"
-        + (f"; first missing {format_word(missing[0])}" if missing else ""),
-    )
-
-
-def _suite_bracket(run: _SuiteRun) -> None:
-    empty = jones_normalized(positive_resolution(()))
-    curl = jones_normalized(positive_resolution(("a", "a")))
-    run.record(
-        "normalized-units",
-        empty == {0: 1} and curl == {0: 1},
-        "normalized bracket of the empty word and one curl is 1",
-    )
-    trefoil_det = determinant(positive_resolution(("a", "b", "c", "a", "b", "c")))
-    run.record("trefoil-det", trefoil_det == 3, f"determinant {trefoil_det}")
-    dets = [determinant(positive_resolution(twist_family(n))) for n in (1, 3, 5)]
-    run.record(
-        "twist-dets-distinct",
-        len(set(dets)) == 3,
-        "determinants " + " ".join(str(d) for d in dets),
-    )
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    run = _SuiteRun()
-    if args.suite == "parity":
-        _suite_parity(run, args.max_n)
-    elif args.suite == "deltas":
-        _suite_deltas(run, args.max_n, args.seed)
-    elif args.suite == "twist":
-        _suite_twist(run)
-    elif args.suite == "strong-trivial":
-        _suite_strong_trivial(run)
-    elif args.suite == "bracket":
-        _suite_bracket(run)
-    else:
+    suite = SUITES.get(args.suite)
+    if suite is None:
         print(f"unknown suite: {args.suite}", file=sys.stderr)
         return EXIT_USAGE
+    if args.max_n < 0:
+        print(f"verify: --max-n must be >= 0, not {args.max_n}", file=sys.stderr)
+        return EXIT_USAGE
+    run = SuiteRun()
+    suite(run, args.max_n, args.seed)
     if args.json:
-        print(
-            json.dumps(
-                {"suite": args.suite, "passed": run.passed, "checks": run.checks},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        _print_json({"suite": args.suite, "passed": run.passed, "checks": run.checks})
     else:
         for check in run.checks:
             mark = "PASS" if check["passed"] else "FAIL"
@@ -444,34 +167,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if run.passed else EXIT_FAIL
 
 
-def _move_deltas(word: Word, after: Word) -> str:
-    dx = cross_chord_number(after) - cross_chord_number(word)
-    dtr = trivializing_number(after) - trivializing_number(word)
-    dh = h_invariant(after) - h_invariant(word)
-    return f"dX={dx:+d} dtr={dtr:+d} dH={dh:+d}"
-
-
 def _cmd_moves(args: argparse.Namespace) -> int:
     word = parse_word(args.word)
-    if not is_realizable(word):
-        print(
-            f"word is not realizable in the sphere: {format_word(word)}",
-            file=sys.stderr,
-        )
-        return EXIT_UNREALIZABLE
+    realize(word)
     kinds = move_set(args.moves)
     sites = find_sites(word, kinds)
     if args.action == "list":
         if args.json:
-            print(
-                json.dumps(
-                    [
-                        {"index": i, "site": site.describe()}
-                        for i, site in enumerate(sites)
-                    ],
-                    indent=2,
-                )
-            )
+            _print_json([{"index": i, "site": s.describe()} for i, s in enumerate(sites)])
         else:
             for i, site in enumerate(sites):
                 print(f"{i}: {site.describe()}")
@@ -486,24 +189,20 @@ def _cmd_moves(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     site = sites[args.site]
     after = apply_move(word, site)
+    deltas = dict(zip(("dX", "dtr", "dH"), move_deltas(word, after)))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "before": format_word(word),
-                    "site": site.describe(),
-                    "after": format_word(after),
-                    "canonical": format_word(canonical(after)),
-                    "dX": cross_chord_number(after) - cross_chord_number(word),
-                    "dtr": trivializing_number(after) - trivializing_number(word),
-                    "dH": h_invariant(after) - h_invariant(word),
-                },
-                indent=2,
-                sort_keys=True,
+        _print_json(
+            dict(
+                deltas,
+                before=format_word(word),
+                site=site.describe(),
+                after=format_word(after),
+                canonical=format_word(canonical(after)),
             )
         )
     else:
-        print(f"{format_word(after)}   ({_move_deltas(word, after)})")
+        shown = " ".join(f"{key}={value:+d}" for key, value in deltas.items())
+        print(f"{format_word(after)}   ({shown})")
     return EXIT_OK
 
 
@@ -514,18 +213,14 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         word = twist_family(args.n)
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "family": "T",
-                        "n": args.n,
-                        "word": format_word(word),
-                        "X": cross_chord_number(word),
-                        "tr": trivializing_number(word),
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
+            _print_json(
+                {
+                    "family": "T",
+                    "n": args.n,
+                    "word": format_word(word),
+                    "X": cross_chord_number(word),
+                    "tr": trivializing_number(word),
+                }
             )
         else:
             print(format_word(word))
@@ -534,28 +229,19 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     config = SearchConfig(max_chords=args.max_n, max_states=args.max_states)
     if args.action == "class":
         word = parse_word(args.word)
-        if not is_realizable(word):
-            print(
-                f"word is not realizable in the sphere: {format_word(word)}",
-                file=sys.stderr,
-            )
-            return EXIT_UNREALIZABLE
+        realize(word)
         result = search_class(word, kinds, config)
         words = sorted(result.words)
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "start": format_word(canonical(word)),
-                        "moves": args.moves,
-                        "max_n": args.max_n,
-                        "truncated": result.truncated,
-                        "count": len(words),
-                        "words": [format_word(w) for w in words],
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
+            _print_json(
+                {
+                    "start": format_word(canonical(word)),
+                    "moves": args.moves,
+                    "max_n": args.max_n,
+                    "truncated": result.truncated,
+                    "count": len(words),
+                    "words": [format_word(w) for w in words],
+                }
             )
         else:
             for w in words:
@@ -565,16 +251,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         return EXIT_OK
     first = parse_word(args.word)
     second = parse_word(args.other)
-    for w in (first, second):
-        if not is_realizable(w):
-            print(
-                f"word is not realizable in the sphere: {format_word(w)}",
-                file=sys.stderr,
-            )
-            return EXIT_UNREALIZABLE
+    realize(first)
+    realize(second)
     result = equivalence_query(first, second, moves_name=args.moves, config=config)
     if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+        _print_json(result.to_dict())
     else:
         print(f"{result.verdict}: {result.reason}")
         if result.path is not None:
@@ -586,27 +267,17 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 def _cmd_knots(args: argparse.Namespace) -> int:
     word = parse_word(args.word)
-    if not is_realizable(word):
-        print(
-            f"word is not realizable in the sphere: {format_word(word)}",
-            file=sys.stderr,
-        )
-        return EXIT_UNREALIZABLE
     diagram = positive_resolution(word)
     if args.action == "resolve":
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "word": format_word(word),
-                        "bits": list(diagram.bits),
-                        "over_first": list(diagram.over_first),
-                        "signs": list(diagram.signs),
-                        "writhe": diagram.writhe,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
+            _print_json(
+                {
+                    "word": format_word(word),
+                    "bits": list(diagram.bits),
+                    "over_first": list(diagram.over_first),
+                    "signs": list(diagram.signs),
+                    "writhe": diagram.writhe,
+                }
             )
         else:
             print(f"word: {format_word(word)}")
@@ -620,17 +291,13 @@ def _cmd_knots(args: argparse.Namespace) -> int:
         bracket = kauffman_bracket(diagram)
         normalized = jones_normalized(diagram)
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "word": format_word(word),
-                        "bracket": laurent_format(bracket),
-                        "normalized": laurent_format(normalized),
-                        "writhe": diagram.writhe,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
+            _print_json(
+                {
+                    "word": format_word(word),
+                    "bracket": laurent_format(bracket),
+                    "normalized": laurent_format(normalized),
+                    "writhe": diagram.writhe,
+                }
             )
         else:
             print(f"bracket: {laurent_format(bracket)}")

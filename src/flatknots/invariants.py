@@ -194,19 +194,6 @@ class InvariantReport:
     trefoil_summands: int
     realizable: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "word": list(self.word),
-            "chords": self.chords,
-            "cross_chords": self.cross_chords,
-            "cross_chords_mod3": self.cross_chords_mod3,
-            "trivializing": self.trivializing,
-            "h": self.h,
-            "reduced": list(self.reduced),
-            "trefoil_summands": self.trefoil_summands,
-            "realizable": self.realizable,
-        }
-
 
 def invariant_report(word: Sequence[str]) -> InvariantReport:
     w = tuple(word)

@@ -9,14 +9,16 @@ cross chord count changes by +3 or -3 when the three sides bound a
 coherently oriented triangle (0 or 3 internal interleavings) and by +1
 or -1 otherwise.  The first kind preserves both the residue of the
 cross chord count mod 3 and the clique union flag; the second kind
-preserves the trivializing number.
+preserves the trivializing number.  ``MOVE_LAWS`` states these laws
+once for every move kind; ``apply_move`` enforces its change in X, and
+the ``deltas`` suite of ``flatknots.checks`` checks the whole table.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .embedding import is_realizable
 from .invariants import cross_chord_number, interlacement
@@ -41,10 +43,6 @@ class MoveKind(enum.Enum):
             MoveKind.STRONG_CONTRACT,
             MoveKind.WEAK_SLIDE,
         )
-
-    @property
-    def is_strong_triangle(self) -> bool:
-        return self in (MoveKind.STRONG_EXPAND, MoveKind.STRONG_CONTRACT)
 
 
 _KIND_ORDER = {
@@ -81,15 +79,21 @@ def move_set(name: str) -> "frozenset[MoveKind]":
         ) from None
 
 
-def expected_cross_change(kind: MoveKind) -> "Tuple[int, ...]":
-    """Admissible changes of the cross chord count for one move kind."""
-    return {
-        MoveKind.CURL_ADD: (0,),
-        MoveKind.CURL_DELETE: (0,),
-        MoveKind.STRONG_EXPAND: (3,),
-        MoveKind.STRONG_CONTRACT: (-3,),
-        MoveKind.WEAK_SLIDE: (-1, 1),
-    }[kind]
+class MoveLaw(NamedTuple):
+    """What one move kind does to the invariants of a realizable word."""
+
+    dx: Tuple[int, ...]  # signed changes of the cross chord count X
+    dtr: Tuple[int, ...]  # allowed changes of the trivializing number
+    keeps_h: bool  # whether the clique union flag H is unchanged
+
+
+MOVE_LAWS = {
+    MoveKind.CURL_ADD: MoveLaw((0,), (0,), True),
+    MoveKind.CURL_DELETE: MoveLaw((0,), (0,), True),
+    MoveKind.STRONG_EXPAND: MoveLaw((3,), (-2, 0, 2), True),
+    MoveKind.STRONG_CONTRACT: MoveLaw((-3,), (-2, 0, 2), True),
+    MoveKind.WEAK_SLIDE: MoveLaw((-1, 1), (0,), False),
+}
 
 
 @dataclass(frozen=True, order=True)
@@ -135,16 +139,16 @@ def find_curl_delete_sites(word: Sequence[str]) -> List[MoveSite]:
     ]
 
 
-def _triangle_kind(adjacency, chords: Tuple[str, str, str]) -> Tuple[MoveKind, int]:
+def _triangle_kind(adjacency, chords: Tuple[str, str, str]) -> MoveKind:
     a, b, c = chords
     internal = (
         (b in adjacency[a]) + (c in adjacency[a]) + (c in adjacency[b])
     )
     if internal == 3:
-        return MoveKind.STRONG_CONTRACT, internal
+        return MoveKind.STRONG_CONTRACT
     if internal == 0:
-        return MoveKind.STRONG_EXPAND, internal
-    return MoveKind.WEAK_SLIDE, internal
+        return MoveKind.STRONG_EXPAND
+    return MoveKind.WEAK_SLIDE
 
 
 def find_triangle_sites(word: Sequence[str]) -> List[MoveSite]:
@@ -182,7 +186,7 @@ def find_triangle_sites(word: Sequence[str]) -> List[MoveSite]:
                 if len(involved) != 3 or len({pair_i, pair_j, pair_k}) != 3:
                     continue
                 chords = tuple(sorted(involved))
-                kind, _ = _triangle_kind(adjacency, chords)  # type: ignore[arg-type]
+                kind = _triangle_kind(adjacency, chords)  # type: ignore[arg-type]
                 sites.append(MoveSite(kind, (i, j, k), chords))
     return sites
 
@@ -205,8 +209,9 @@ def find_sites(word: Sequence[str], kinds: Iterable[MoveKind]) -> List[MoveSite]
 def apply_move(word: Sequence[str], site: MoveSite) -> Word:
     """Apply one move and enforce its laws.
 
-    The cross chord change must match the move kind, and a realizable
-    word must stay realizable; violations raise MoveError.
+    The cross chord change must be one that ``MOVE_LAWS`` allows for
+    the move kind, and a realizable word must stay realizable;
+    violations raise MoveError.
     """
     w = tuple(word)
     validate_word(w)
@@ -247,7 +252,7 @@ def apply_move(word: Sequence[str], site: MoveSite) -> Word:
         involved = frozenset(w[p] for p in seen_positions)
         if involved != frozenset(site.chords) or len(involved) != 3:
             raise MoveError("site chords do not match the word")
-        actual_kind, _ = _triangle_kind(
+        actual_kind = _triangle_kind(
             interlacement(w), tuple(sorted(involved))  # type: ignore[arg-type]
         )
         if actual_kind != site.kind:
@@ -259,7 +264,7 @@ def apply_move(word: Sequence[str], site: MoveSite) -> Word:
         raise MoveError(f"unknown move kind {site.kind}")
 
     change = cross_chord_number(result) - cross_chord_number(w)
-    if change not in expected_cross_change(site.kind):
+    if change not in MOVE_LAWS[site.kind].dx:
         raise MoveError(
             f"{site.kind.value} changed the cross chord count by {change}"
         )

@@ -16,6 +16,7 @@ import oracles
 from sample_words import NONREALIZABLE_4, TREFOIL
 
 from flatknots import (
+    MOVE_LAWS,
     MoveKind,
     NotRealizableError,
     SearchConfig,
@@ -73,32 +74,43 @@ def test_criterion_1_trivializing_number_is_even(realizable_upto6):
 # ---------------------------------------------------------------- C2
 
 
-CURL_KINDS = (MoveKind.CURL_ADD, MoveKind.CURL_DELETE)
-STRONG_KINDS = (MoveKind.STRONG_EXPAND, MoveKind.STRONG_CONTRACT)
+# The paper's move laws, written out here rather than read from the
+# library: kind -> (signed changes in X, allowed changes in tr, H kept).
+# Curls change nothing; a strong move changes X by exactly 3 (so keeps
+# X mod 3), keeps H and moves the even tr by at most 2; a weak move
+# changes X by 1 and keeps tr.
+PAPER_LAWS = {
+    MoveKind.CURL_ADD: ((0,), (0,), True),
+    MoveKind.CURL_DELETE: ((0,), (0,), True),
+    MoveKind.STRONG_EXPAND: ((3,), (-2, 0, 2), True),
+    MoveKind.STRONG_CONTRACT: ((-3,), (-2, 0, 2), True),
+    MoveKind.WEAK_SLIDE: ((-1, 1), (0,), False),
+}
 
 
-def _deltas(word, site):
-    after = apply_move(word, site)
-    return (
-        cross_chord_number(after) - cross_chord_number(word),
-        trivializing_number(after) - trivializing_number(word),
-        h_invariant(after) - h_invariant(word),
-    )
+def _assert_move_laws(word, where):
+    """Check every site of the word against PAPER_LAWS; return the count."""
+    sites = find_sites(word, tuple(MoveKind))
+    for site in sites:
+        after = apply_move(word, site)
+        dx = cross_chord_number(after) - cross_chord_number(word)
+        dtr = trivializing_number(after) - trivializing_number(word)
+        dh = h_invariant(after) - h_invariant(word)
+        want_dx, want_dtr, keeps_h = PAPER_LAWS[site.kind]
+        assert dx in want_dx and dtr in want_dtr and not (keeps_h and dh), (
+            f"{where} via {site.describe()}: dX={dx} dtr={dtr} dH={dh}"
+        )
+    return len(sites)
+
+
+def test_move_laws_match_the_paper():
+    assert MOVE_LAWS == PAPER_LAWS
 
 
 def test_criterion_2_move_deltas(realizable_upto6):
     checked = 0
     for word in realizable_upto6:
-        for site in find_sites(word, tuple(MoveKind)):
-            dx, dtr, dh = _deltas(word, site)
-            where = f"{format_word(word)} via {site.describe()}"
-            if site.kind in CURL_KINDS:
-                assert (dx, dtr, dh) == (0, 0, 0), where
-            elif site.kind in STRONG_KINDS:
-                assert abs(dx) == 3 and dtr in (0, 2, -2) and dh == 0, where
-            else:
-                assert abs(dx) == 1 and dtr == 0, where
-            checked += 1
+        checked += _assert_move_laws(word, format_word(word))
     _note(
         f"C2 PASS: curl, strong, and weak delta laws hold over {checked} "
         f"move applications on all realizable words with n <= 6"
@@ -347,16 +359,7 @@ def test_criterion_9_catalog_rows(realizable_upto6):
         assert rep.realizable, entry.name
         assert rep.trivializing % 2 == 0, entry.name
 
-        for site in find_sites(entry.word, tuple(MoveKind)):
-            dx, dtr, dh = _deltas(entry.word, site)
-            where = f"{entry.name} via {site.describe()}"
-            if site.kind in CURL_KINDS:
-                assert (dx, dtr, dh) == (0, 0, 0), where
-            elif site.kind in STRONG_KINDS:
-                assert abs(dx) == 3 and dtr in (0, 2, -2) and dh == 0, where
-            else:
-                assert abs(dx) == 1 and dtr == 0, where
-            checked_sites += 1
+        checked_sites += _assert_move_laws(entry.word, entry.name)
 
         expected_tr = oracles.brute_min_cover(
             letters(entry.word), oracles.interlacement_edges(entry.word)

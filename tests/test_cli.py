@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from flatknots import invariant_report
+from flatknots import MOVE_LAWS, MoveKind, invariant_report
 from flatknots.cli import main, report_from_dict, report_to_dict
 
 TREFOIL_TEXT = "a b c a b c"
@@ -57,6 +57,15 @@ def test_invariants_exit_codes(capsys):
     assert "not realizable" in err
     code, _, err = run(capsys, "invariants")
     assert code == 2
+
+
+def test_invariants_word_and_corpus_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "one.txt"
+    path.write_text("first: a a\n")
+    code, out, err = run(capsys, "invariants", NONREALIZABLE_TEXT, "--corpus", str(path))
+    assert code == 2
+    assert out == ""
+    assert "give a word or --corpus, not both" in err
 
 
 def test_invariants_empty_word_dash(capsys):
@@ -122,6 +131,29 @@ def test_table_json_frozen(capsys):
     assert payload["one_triangle_edges"] == FROZEN_EDGES
 
 
+VERIFY_STDOUT = {
+    "parity": "PASS parity/tr-even: 26 realizable words with n <= 5\n",
+    "deltas": "PASS deltas/move-deltas: 94 site applications, exhaustive n <= 4\n",
+    "twist": (
+        "PASS twist/twist-tr: tr = 2 for n = 1..8\n"
+        "PASS twist/twist-x-step: X gains 1 at odd n; X = 3 4 7 8 11 12 15 16\n"
+        "PASS twist/twist-weak-path-1: T(1) ~ T(2) by a weak path of <= 2 moves\n"
+        "PASS twist/twist-weak-path-3: T(3) ~ T(4) by a weak path of <= 2 moves\n"
+        "PASS twist/twist-strong-step: T(2) ~ T(3) by a strong path of <= 2 moves\n"
+    ),
+    "strong-trivial": (
+        "PASS strong-trivial/reached-are-trivial: 127 words reached within 7 chords\n"
+        "PASS strong-trivial/targets-reached: 9 trefoil/curl sums within 7 chords\n"
+    ),
+    "bracket": (
+        "PASS bracket/normalized-units: normalized bracket of the empty word "
+        "and one curl is 1\n"
+        "PASS bracket/trefoil-det: determinant 3\n"
+        "PASS bracket/twist-dets-distinct: determinants 3 7 11\n"
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "suite,extra",
     [
@@ -137,6 +169,7 @@ def test_verify_suites_pass(capsys, suite, extra):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 1
+    assert out == VERIFY_STDOUT[suite]
 
 
 def test_verify_unknown_suite(capsys):
@@ -152,6 +185,29 @@ def test_verify_json_shape(capsys):
     assert payload["suite"] == "bracket"
     assert payload["passed"] is True
     assert all({"name", "passed", "detail"} <= set(c) for c in payload["checks"])
+
+
+@pytest.mark.parametrize("suite,max_n", [("parity", "-1"), ("deltas", "-3")])
+def test_verify_rejects_negative_max_n(capsys, suite, max_n):
+    code, out, err = run(capsys, "verify", suite, "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert "--max-n" in err
+
+
+def test_verify_reports_a_broken_law(capsys, monkeypatch):
+    # Two strong-expand sites among the realizable words with n <= 4
+    # raise tr by 2; apply_move reads only the X law, so only the suite
+    # can notice.
+    law = MOVE_LAWS[MoveKind.STRONG_EXPAND]
+    monkeypatch.setitem(MOVE_LAWS, MoveKind.STRONG_EXPAND, law._replace(dtr=(0,)))
+    code, out, _ = run(capsys, "verify", "deltas", "--max-n", "4")
+    assert code == 1
+    assert out.startswith("FAIL deltas/move-deltas: 94 site applications")
+    assert "strong-expand" in out and "dtr=2" in out
+    code, out, _ = run(capsys, "verify", "deltas", "--max-n", "4", "--json")
+    assert code == 1
+    assert json.loads(out)["passed"] is False
 
 
 def test_verify_deltas_sampling_note(capsys):
@@ -183,6 +239,17 @@ def test_moves_apply_json(capsys):
     assert payload["before"] == "a b c a b c"
     assert payload["dX"] == 0 and payload["dtr"] == 0 and payload["dH"] == 0
     assert payload["site"].startswith("curl-add")
+    assert out == (
+        "{\n"
+        '  "after": "d d a b c a b c",\n'
+        '  "before": "a b c a b c",\n'
+        '  "canonical": "a a b c d b c d",\n'
+        '  "dH": 0,\n'
+        '  "dX": 0,\n'
+        '  "dtr": 0,\n'
+        '  "site": "curl-add at [0] on -"\n'
+        "}\n"
+    )
 
 
 def test_moves_errors(capsys):
