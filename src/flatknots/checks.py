@@ -2,9 +2,10 @@
 
 Each suite re-derives one claim of the package from scratch and records
 one pass or fail line per check.  ``SUITES`` maps a suite name to its
-function; every suite takes the run to record into, a chord bound and
-a seed, and ignores the ones it does not need.  The ``deltas`` suite
-checks every site against ``moves.MOVE_LAWS``.
+function; every suite takes the run to record into, and as keyword
+parameters, with their defaults, only the options it reads (a chord
+bound ``max_n``, a ``seed``).  The ``deltas`` suite checks every site
+against ``moves.MOVE_LAWS``.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class SuiteRun:
         return all(c["passed"] for c in self.checks)
 
 
-def _suite_parity(run: SuiteRun, max_n: int, seed: int) -> None:
+def _suite_parity(run: SuiteRun, max_n: int = 6) -> None:
     failures = []
     total = 0
     for n in range(0, max_n + 1):
@@ -143,7 +144,7 @@ def _check_deltas_on(word: Word, failures: List[str]) -> int:
     return len(sites)
 
 
-def _suite_deltas(run: SuiteRun, max_n: int, seed: int) -> None:
+def _suite_deltas(run: SuiteRun, max_n: int = 6, seed: int = 20260819) -> None:
     failures: List[str] = []
     checked = 0
     exhaustive_limit = min(max_n, 6)
@@ -172,7 +173,7 @@ def _suite_deltas(run: SuiteRun, max_n: int, seed: int) -> None:
     run.record("move-deltas", not failures, detail)
 
 
-def _suite_twist(run: SuiteRun, max_n: int, seed: int) -> None:
+def _suite_twist(run: SuiteRun) -> None:
     words = {n: twist_family(n) for n in range(1, 9)}
     bad_tr = [n for n, w in words.items() if trivializing_number(w) != 2]
     run.record("twist-tr", not bad_tr, "tr = 2 for n = 1..8")
@@ -228,7 +229,7 @@ def _strong_trivial_targets(cap: int) -> frozenset:
     return frozenset(w for w in expanded if chord_count(w) <= cap)
 
 
-def _suite_strong_trivial(run: SuiteRun, max_n: int, seed: int) -> None:
+def _suite_strong_trivial(run: SuiteRun) -> None:
     kinds = (MoveKind.CURL_ADD, MoveKind.STRONG_EXPAND, MoveKind.STRONG_CONTRACT)
     result = search_class((), kinds, SearchConfig(max_chords=7, max_states=10 ** 6))
     offenders = [w for w in result.words if not strong_trivial_test(w)]
@@ -248,7 +249,7 @@ def _suite_strong_trivial(run: SuiteRun, max_n: int, seed: int) -> None:
     )
 
 
-def _suite_bracket(run: SuiteRun, max_n: int, seed: int) -> None:
+def _suite_bracket(run: SuiteRun) -> None:
     empty = jones_normalized(positive_resolution(()))
     curl = jones_normalized(positive_resolution(("a", "a")))
     run.record(
@@ -266,7 +267,7 @@ def _suite_bracket(run: SuiteRun, max_n: int, seed: int) -> None:
     )
 
 
-SUITES: Dict[str, Callable[[SuiteRun, int, int], None]] = {
+SUITES: Dict[str, Callable[..., None]] = {
     "parity": _suite_parity,
     "deltas": _suite_deltas,
     "twist": _suite_twist,

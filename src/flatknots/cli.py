@@ -9,6 +9,7 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Dict, Optional, Sequence
@@ -53,20 +54,6 @@ def report_to_dict(report: InvariantReport) -> Dict[str, object]:
         "trefoil_summands": report.trefoil_summands,
         "realizable": report.realizable,
     }
-
-
-def report_from_dict(payload: Dict[str, object]) -> InvariantReport:
-    return InvariantReport(
-        word=parse_word(str(payload["word"])),
-        chords=int(payload["n"]),
-        cross_chords=int(payload["X"]),
-        cross_chords_mod3=int(payload["X_mod3"]),
-        trivializing=int(payload["tr"]),
-        h=int(payload["H"]),
-        reduced=parse_word(str(payload["reduced"])),
-        trefoil_summands=int(payload["trefoil_summands"]),
-        realizable=bool(payload["realizable"]),
-    )
 
 
 def _print_json(payload: object) -> None:
@@ -153,11 +140,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if suite is None:
         print(f"unknown suite: {args.suite}", file=sys.stderr)
         return EXIT_USAGE
-    if args.max_n < 0:
+    options = {
+        name: value
+        for name, value in (("max_n", args.max_n), ("seed", args.seed))
+        if value is not None
+    }
+    accepted = inspect.signature(suite).parameters
+    for name in options:
+        if name not in accepted:
+            flag = "--" + name.replace("_", "-")
+            print(f"verify: the {args.suite} suite does not use {flag}", file=sys.stderr)
+            return EXIT_USAGE
+    if args.max_n is not None and args.max_n < 0:
         print(f"verify: --max-n must be >= 0, not {args.max_n}", file=sys.stderr)
         return EXIT_USAGE
     run = SuiteRun()
-    suite(run, args.max_n, args.seed)
+    suite(run, **options)
     if args.json:
         _print_json({"suite": args.suite, "passed": run.passed, "checks": run.checks})
     else:
@@ -225,6 +223,12 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         else:
             print(format_word(word))
         return EXIT_OK
+    if args.max_n < 0:
+        print(f"explore: --max-n must be >= 0, not {args.max_n}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.max_states < 1:
+        print(f"explore: --max-states must be >= 1, not {args.max_states}", file=sys.stderr)
+        return EXIT_USAGE
     kinds = move_set(args.moves)
     config = SearchConfig(max_chords=args.max_n, max_states=args.max_states)
     if args.action == "class":
@@ -333,8 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "suite", help="one of: parity, deltas, twist, strong-trivial, bracket"
     )
-    p_verify.add_argument("--max-n", type=int, default=6, dest="max_n")
-    p_verify.add_argument("--seed", type=int, default=20260819)
+    p_verify.add_argument(
+        "--max-n", type=int, dest="max_n", help="chord bound (parity and deltas only)"
+    )
+    p_verify.add_argument("--seed", type=int, help="sampling seed (deltas only)")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 

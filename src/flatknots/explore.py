@@ -27,7 +27,7 @@ from .invariants import (
     reduce_r1,
     trivializing_number,
 )
-from .moves import MoveKind, MoveSite, apply_move, move_set, neighbors
+from .moves import MoveKind, MoveSite, _apply, apply_move, find_sites, move_set
 from .words import (
     Word,
     _below,
@@ -107,8 +107,12 @@ def search_class(
 ) -> ClassSearchResult:
     """Breadth first closure of a word under the given moves, windowed.
 
-    States are canonical forms.  With ``stop_at`` the search returns as
-    soon as that word is reached.
+    States are canonical forms.  Each applied move costs one canonical
+    form, that of its result, on which its laws are checked.  Curl
+    additions from a state at or above the chord cap always leave the
+    window, so they are not applied; they only mark the result
+    truncated.  With ``stop_at`` the search returns as soon as that word
+    is reached.
     """
     start = canonical(word)
     goal = canonical(stop_at) if stop_at is not None else None
@@ -121,11 +125,15 @@ def search_class(
         if goal is not None and goal in visited:
             break
         current = queue.popleft()
-        for site, result in neighbors(current, kind_set):
+        wanted = kind_set
+        if chord_count(current) >= config.max_chords and MoveKind.CURL_ADD in kind_set:
+            wanted = kind_set - {MoveKind.CURL_ADD}
+            truncated = True
+        for site in find_sites(current, wanted):
+            result, shape = _apply(current, site)
             if chord_count(result) > config.max_chords:
                 truncated = True
                 continue
-            shape = canonical(result)
             if shape in visited:
                 continue
             if len(visited) >= config.max_states:

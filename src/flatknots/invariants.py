@@ -49,11 +49,18 @@ def interlacement(word: Sequence[str]) -> Dict[str, FrozenSet[str]]:
     return dict(_interlacement_items(w))
 
 
+@lru_cache(maxsize=65536)
+def _cross_count(shape: Word) -> int:
+    """X of a validated word.  X does not depend on the presentation, so
+    callers that hold canonical shapes share one entry per class."""
+    return sum(mask.bit_count() for mask in interlacement_masks(shape)) // 2
+
+
 def cross_chord_number(word: Sequence[str]) -> int:
     """X: the number of interleaved chord pairs."""
     w = tuple(word)
     validate_word(w)
-    return sum(len(nbrs) for _, nbrs in _interlacement_items(w)) // 2
+    return _cross_count(w)
 
 
 def _remove_vertices(edges: FrozenSet[Tuple[str, str]], gone: Set[str]) -> FrozenSet[Tuple[str, str]]:

@@ -10,19 +10,33 @@ coherently oriented triangle (0 or 3 internal interleavings) and by +1
 or -1 otherwise.  The first kind preserves both the residue of the
 cross chord count mod 3 and the clique union flag; the second kind
 preserves the trivializing number.  ``MOVE_LAWS`` states these laws
-once for every move kind; ``apply_move`` enforces its change in X, and
-the ``deltas`` suite of ``flatknots.checks`` checks the whole table.
+once for every move kind; ``apply_move`` enforces its change in X and
+the keeping of realizability, and the ``deltas`` suite of
+``flatknots.checks`` checks the whole table.
+
+Words are validated once, at the public entry points.  An applied move
+canonicalizes its result once and checks both laws on that shape
+through shape-keyed caches, so a move that reaches a known class costs
+one canonical form.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
-from .embedding import is_realizable
-from .invariants import cross_chord_number, interlacement
-from .words import Word, all_slots, fresh_label, validate_word
+from .embedding import _realizable_by_shape
+from .invariants import _cross_count
+from .words import (
+    Word,
+    _canonical_cached,
+    all_slots,
+    fresh_label,
+    interlacement_masks,
+    letters,
+    validate_word,
+)
 
 
 class MoveError(ValueError):
@@ -122,15 +136,11 @@ def site_sort_key(site: MoveSite) -> Tuple[int, Tuple[int, ...]]:
     return (_KIND_ORDER[site.kind], site.positions)
 
 
-def find_curl_add_sites(word: Sequence[str]) -> List[MoveSite]:
-    w = tuple(word)
-    validate_word(w)
+def _curl_add_sites(w: Word) -> List[MoveSite]:
     return [MoveSite(MoveKind.CURL_ADD, (slot,), ()) for slot in all_slots(w)]
 
 
-def find_curl_delete_sites(word: Sequence[str]) -> List[MoveSite]:
-    w = tuple(word)
-    validate_word(w)
+def _curl_delete_sites(w: Word) -> List[MoveSite]:
     total = len(w)
     return [
         MoveSite(MoveKind.CURL_DELETE, (i,), (w[i],))
@@ -139,11 +149,31 @@ def find_curl_delete_sites(word: Sequence[str]) -> List[MoveSite]:
     ]
 
 
-def _triangle_kind(adjacency, chords: Tuple[str, str, str]) -> MoveKind:
-    a, b, c = chords
-    internal = (
-        (b in adjacency[a]) + (c in adjacency[a]) + (c in adjacency[b])
-    )
+def find_curl_add_sites(word: Sequence[str]) -> List[MoveSite]:
+    w = tuple(word)
+    validate_word(w)
+    return _curl_add_sites(w)
+
+
+def find_curl_delete_sites(word: Sequence[str]) -> List[MoveSite]:
+    w = tuple(word)
+    validate_word(w)
+    return _curl_delete_sites(w)
+
+
+_ChordGraph = Tuple[Dict[str, int], Tuple[int, ...]]
+
+
+def _chord_graph(w: Word) -> _ChordGraph:
+    """Chord index by label, and the interlacement bitsets in that order."""
+    index = {label: i for i, label in enumerate(letters(w))}
+    return index, interlacement_masks(w)
+
+
+def _triangle_kind(graph: _ChordGraph, chords: Tuple[str, str, str]) -> MoveKind:
+    index, masks = graph
+    a, b, c = (index[label] for label in chords)
+    internal = (masks[a] >> b & 1) + (masks[a] >> c & 1) + (masks[b] >> c & 1)
     if internal == 3:
         return MoveKind.STRONG_CONTRACT
     if internal == 0:
@@ -151,58 +181,74 @@ def _triangle_kind(adjacency, chords: Tuple[str, str, str]) -> MoveKind:
     return MoveKind.WEAK_SLIDE
 
 
+def _triangle_sites(w: Word) -> List[MoveSite]:
+    total = len(w)
+    if total < 6:
+        return []
+    # Only factors with two distinct labels can be triangle sides; index
+    # them by label pair and by label.  A label lies in at most four.
+    by_pair: Dict[FrozenSet[str], List[int]] = {}
+    by_label: Dict[str, List[int]] = {}
+    for s in range(total):
+        a, b = w[s], w[(s + 1) % total]
+        if a != b:
+            by_pair.setdefault(frozenset((a, b)), []).append(s)
+            by_label.setdefault(a, []).append(s)
+            by_label.setdefault(b, []).append(s)
+
+    def apart(s: int, t: int) -> bool:
+        return (t - s) % total not in (0, 1, total - 1)
+
+    graph = _chord_graph(w)
+    sites: List[MoveSite] = []
+    # Each site is found once, from its first factor i = {a, b}: its
+    # other sides are a factor j = {b, c} through b and a factor
+    # k = {a, c}, both after i.
+    for i in range(total):
+        a, b = w[i], w[(i + 1) % total]
+        if a == b:
+            continue
+        for j in by_label[b]:
+            if j <= i or not apart(i, j):
+                continue
+            c = w[j] if w[j] != b else w[(j + 1) % total]
+            # No side has the label pair {a, a}, so c == a finds no k.
+            for k in by_pair.get(frozenset((a, c)), ()):
+                if k > i and apart(i, k) and apart(j, k):
+                    chords = tuple(sorted((a, b, c)))
+                    sites.append(
+                        MoveSite(
+                            _triangle_kind(graph, chords),  # type: ignore[arg-type]
+                            tuple(sorted((i, j, k))),
+                            chords,
+                        )
+                    )
+    sites.sort(key=lambda site: site.positions)
+    return sites
+
+
 def find_triangle_sites(word: Sequence[str]) -> List[MoveSite]:
-    """All triangle sites, keyed by their factor start positions.
+    """All triangle sites, ordered by their factor start positions.
 
     Distinct sites may involve the same three chords.
     """
     w = tuple(word)
     validate_word(w)
-    total = len(w)
-    if total < 6:
-        return []
-    adjacency = interlacement(w)
-    # Only factors with two distinct labels can be triangle sides.
-    candidates = [
-        (s, frozenset((w[s], w[(s + 1) % total])))
-        for s in range(total)
-        if w[s] != w[(s + 1) % total]
-    ]
-    sites: List[MoveSite] = []
-    for a in range(len(candidates)):
-        i, pair_i = candidates[a]
-        span_i = {i, (i + 1) % total}
-        for b in range(a + 1, len(candidates)):
-            j, pair_j = candidates[b]
-            span_j = {j, (j + 1) % total}
-            if span_i & span_j:
-                continue
-            for c in range(b + 1, len(candidates)):
-                k, pair_k = candidates[c]
-                span_k = {k, (k + 1) % total}
-                if (span_i | span_j) & span_k:
-                    continue
-                involved = pair_i | pair_j | pair_k
-                if len(involved) != 3 or len({pair_i, pair_j, pair_k}) != 3:
-                    continue
-                chords = tuple(sorted(involved))
-                kind = _triangle_kind(adjacency, chords)  # type: ignore[arg-type]
-                sites.append(MoveSite(kind, (i, j, k), chords))
-    return sites
+    return _triangle_sites(w)
 
 
 def find_sites(word: Sequence[str], kinds: Iterable[MoveKind]) -> List[MoveSite]:
     """Every site of the requested kinds, deterministically ordered."""
+    w = tuple(word)
+    validate_word(w)
     wanted = frozenset(kinds)
     sites: List[MoveSite] = []
     if MoveKind.CURL_ADD in wanted:
-        sites.extend(find_curl_add_sites(word))
+        sites.extend(_curl_add_sites(w))
     if MoveKind.CURL_DELETE in wanted:
-        sites.extend(find_curl_delete_sites(word))
+        sites.extend(_curl_delete_sites(w))
     if wanted & {MoveKind.STRONG_EXPAND, MoveKind.STRONG_CONTRACT, MoveKind.WEAK_SLIDE}:
-        sites.extend(
-            site for site in find_triangle_sites(word) if site.kind in wanted
-        )
+        sites.extend(site for site in _triangle_sites(w) if site.kind in wanted)
     return sorted(sites, key=site_sort_key)
 
 
@@ -215,6 +261,16 @@ def apply_move(word: Sequence[str], site: MoveSite) -> Word:
     """
     w = tuple(word)
     validate_word(w)
+    return _apply(w, site)[0]
+
+
+def _apply(w: Word, site: MoveSite) -> Tuple[Word, Word]:
+    """``apply_move`` on a validated word; returns the result and its shape.
+
+    The result is canonicalized once, and both laws are checked on that
+    shape through shape-keyed caches, so a move that reaches a known
+    class costs one canonical form.
+    """
     total = len(w)
 
     if site.kind == MoveKind.CURL_ADD:
@@ -253,7 +309,7 @@ def apply_move(word: Sequence[str], site: MoveSite) -> Word:
         if involved != frozenset(site.chords) or len(involved) != 3:
             raise MoveError("site chords do not match the word")
         actual_kind = _triangle_kind(
-            interlacement(w), tuple(sorted(involved))  # type: ignore[arg-type]
+            _chord_graph(w), tuple(sorted(involved))  # type: ignore[arg-type]
         )
         if actual_kind != site.kind:
             raise MoveError(
@@ -263,16 +319,17 @@ def apply_move(word: Sequence[str], site: MoveSite) -> Word:
     else:  # pragma: no cover - enum is closed
         raise MoveError(f"unknown move kind {site.kind}")
 
-    change = cross_chord_number(result) - cross_chord_number(w)
+    shape = _canonical_cached(result)
+    change = _cross_count(shape) - _cross_count(w)
     if change not in MOVE_LAWS[site.kind].dx:
         raise MoveError(
             f"{site.kind.value} changed the cross chord count by {change}"
         )
-    if is_realizable(w) and not is_realizable(result):
+    if not _realizable_by_shape(shape) and _realizable_by_shape(_canonical_cached(w)):
         raise MoveError(
             f"{site.describe()} broke realizability on {' '.join(w)}"
         )
-    return result
+    return result, shape
 
 
 def neighbors(word: Sequence[str], kinds: Iterable[MoveKind]) -> List[Tuple[MoveSite, Word]]:
@@ -281,4 +338,5 @@ def neighbors(word: Sequence[str], kinds: Iterable[MoveKind]) -> List[Tuple[Move
     A site found here that breaks a law is a defect, so its MoveError
     propagates instead of being skipped.
     """
-    return [(site, apply_move(word, site)) for site in find_sites(word, kinds)]
+    w = tuple(word)
+    return [(site, _apply(w, site)[0]) for site in find_sites(w, kinds)]

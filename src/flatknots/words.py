@@ -181,11 +181,6 @@ def canonical(word: Sequence[str]) -> Word:
     return _canonical_cached(w)
 
 
-def words_equal(a: Sequence[str], b: Sequence[str]) -> bool:
-    """True when the two words denote the same projection."""
-    return canonical(a) == canonical(b)
-
-
 def fresh_label(word: Sequence[str]) -> str:
     """Smallest standard label not already used in the word."""
     used = set(word)

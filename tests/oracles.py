@@ -146,6 +146,45 @@ def reduce_r1_all_orders(word: Sequence[str]) -> Set[Tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# triangle sites
+
+
+def triangle_sites(
+    word: Sequence[str],
+) -> List[Tuple[Tuple[int, int, int], Tuple[str, str, str], int]]:
+    """Every triangle site, by brute force over triples of factors.
+
+    A side is a cyclic window of length two, named by its start
+    position, that holds two distinct labels.  A site is three pairwise
+    disjoint sides whose label pairs are the three two element subsets
+    of three chords.  Each entry holds the
+    factor start positions, the sorted chords and the number of
+    interleaved pairs among those chords, in order of positions.
+    """
+    total = len(word)
+    factors = [
+        (s, {s, (s + 1) % total}, frozenset((word[s], word[(s + 1) % total])))
+        for s in range(total)
+        if word[s] != word[(s + 1) % total]
+    ]
+    sites = []
+    for (i, span_i, p), (j, span_j, q), (k, span_k, r) in itertools.combinations(
+        factors, 3
+    ):
+        labels = p | q | r
+        if len(labels) != 3 or len({p, q, r}) != 3:
+            continue
+        if span_i & span_j or span_i & span_k or span_j & span_k:
+            continue
+        a, b, c = sorted(labels)
+        internal = (
+            interleaved(word, a, b) + interleaved(word, a, c) + interleaved(word, b, c)
+        )
+        sites.append(((i, j, k), (a, b, c), internal))
+    return sites
+
+
+# ---------------------------------------------------------------------------
 # graphs
 
 

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from flatknots import MOVE_LAWS, MoveKind, invariant_report
-from flatknots.cli import main, report_from_dict, report_to_dict
+from flatknots import MOVE_LAWS, MoveKind
+from flatknots.cli import main
 
 TREFOIL_TEXT = "a b c a b c"
 FIGURE8_TEXT = "a b c a d c b d"
@@ -41,11 +41,6 @@ def test_invariants_json_payload(capsys):
         "trefoil_summands": 1,
         "realizable": True,
     }
-
-
-def test_report_json_round_trip():
-    rep = invariant_report(("a", "b", "c", "a", "d", "c", "b", "d"))
-    assert report_from_dict(report_to_dict(rep)) == rep
 
 
 def test_invariants_exit_codes(capsys):
@@ -195,6 +190,23 @@ def test_verify_rejects_negative_max_n(capsys, suite, max_n):
     assert "--max-n" in err
 
 
+@pytest.mark.parametrize(
+    "suite,flag,value",
+    [
+        ("parity", "--seed", "5"),
+        ("twist", "--max-n", "0"),
+        ("twist", "--seed", "5"),
+        ("strong-trivial", "--max-n", "3"),
+        ("bracket", "--seed", "1"),
+    ],
+)
+def test_verify_rejects_a_flag_the_suite_ignores(capsys, suite, flag, value):
+    code, out, err = run(capsys, "verify", suite, flag, value)
+    assert code == 2
+    assert out == ""
+    assert suite in err and flag in err
+
+
 def test_verify_reports_a_broken_law(capsys, monkeypatch):
     # Two strong-expand sites among the realizable words with n <= 4
     # raise tr by 2; apply_move reads only the X law, so only the suite
@@ -310,6 +322,22 @@ def test_explore_equiv_prints_path(capsys):
     assert code == 0
     assert "equivalent: path of 2 moves found" in out
     assert out.count("curl-delete") == 2
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["class", "a a", "--max-n", "-1"], "--max-n"),
+        (["class", "a a", "--max-states", "0"], "--max-states"),
+        (["equiv", "a a", "-", "--max-n", "-1"], "--max-n"),
+        (["equiv", "a a", "-", "--max-states", "0"], "--max-states"),
+    ],
+)
+def test_explore_rejects_an_empty_window(capsys, argv, flag):
+    code, out, err = run(capsys, "explore", *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err
 
 
 def test_explore_family(capsys):

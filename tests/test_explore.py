@@ -1,5 +1,7 @@
 """Class search, equivalence queries, enumeration, and the twist family."""
 
+from collections import deque
+
 import pytest
 
 import oracles
@@ -23,8 +25,22 @@ from flatknots.invariants import (
     r1_normal_form,
     trivializing_number,
 )
-from flatknots.moves import MoveKind, apply_move, move_set
-from flatknots.words import canonical, connected_sum, is_prime, rank_sequence
+from flatknots.moves import (
+    MOVE_LAWS,
+    MOVE_SETS,
+    MoveError,
+    MoveKind,
+    apply_move,
+    move_set,
+    neighbors,
+)
+from flatknots.words import (
+    canonical,
+    chord_count,
+    connected_sum,
+    is_prime,
+    rank_sequence,
+)
 
 from sample_words import CURL, FIGURE8, TREFOIL
 
@@ -66,6 +82,58 @@ def test_search_class_state_cap_truncates():
     result = search_class((), move_set("r1"), SearchConfig(max_chords=3, max_states=3))
     assert len(result.words) <= 3
     assert result.truncated
+
+
+def _plain_search(word, kinds, config, stop_at=None):
+    """Breadth first search over every neighbor, each canonicalized."""
+    start = canonical(word)
+    goal = canonical(stop_at) if stop_at is not None else None
+    visited = {start}
+    parents = {}
+    queue = deque([start])
+    truncated = chord_count(start) > config.max_chords
+    while queue and not (goal is not None and goal in visited):
+        current = queue.popleft()
+        for site, result in neighbors(current, kinds):
+            if chord_count(result) > config.max_chords:
+                truncated = True
+                continue
+            shape = canonical(result)
+            if shape in visited:
+                continue
+            if len(visited) >= config.max_states:
+                truncated = True
+                continue
+            visited.add(shape)
+            parents[shape] = (current, site)
+            queue.append(shape)
+    return visited, truncated, parents
+
+
+@pytest.mark.parametrize("moves_name", sorted(MOVE_SETS))
+def test_search_matches_a_plain_search(moves_name):
+    kinds = MOVE_SETS[moves_name]
+    for n in range(5):
+        for word in enumerate_realizable(n):
+            for cap in (n, n + 1):
+                config = SearchConfig(max_chords=cap)
+                result = search_class(word, kinds, config)
+                words, truncated, parents = _plain_search(word, kinds, config)
+                assert result.words == words, (word, cap)
+                assert result.truncated == truncated, (word, cap)
+                assert result.parents == parents, (word, cap)
+                goal = max(words)
+                stopped = search_class(word, kinds, config, stop_at=goal)
+                assert (stopped.words, stopped.truncated, stopped.parents) == (
+                    _plain_search(word, kinds, config, stop_at=goal)
+                ), (word, cap)
+
+
+def test_search_checks_the_cross_chord_law(monkeypatch):
+    law = MOVE_LAWS[MoveKind.CURL_DELETE]
+    monkeypatch.setitem(MOVE_LAWS, MoveKind.CURL_DELETE, law._replace(dx=(1,)))
+    with pytest.raises(MoveError, match="curl-delete changed the cross chord count by 0"):
+        search_class(CURL, move_set("r1"), SearchConfig(max_chords=2))
 
 
 def test_search_tree_edges_replay():

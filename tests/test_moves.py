@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracles
@@ -71,6 +73,40 @@ def test_trefoil_triangle_sites_frozen():
     assert {site.positions for site in sites} == {(0, 2, 4), (1, 3, 5)}
     assert all(site.kind == MoveKind.STRONG_CONTRACT for site in sites)
     assert all(site.chords == ("a", "b", "c") for site in sites)
+
+
+# The move kind a site has, by the number of interleaved pairs among
+# its three chords.
+_KIND_BY_INTERNAL = {
+    0: MoveKind.STRONG_EXPAND,
+    1: MoveKind.WEAK_SLIDE,
+    2: MoveKind.WEAK_SLIDE,
+    3: MoveKind.STRONG_CONTRACT,
+}
+
+
+def _assert_triangle_sites_match_oracle(word):
+    found = [(s.positions, s.chords, s.kind) for s in find_triangle_sites(word)]
+    expected = [
+        (positions, chords, _KIND_BY_INTERNAL[internal])
+        for positions, chords, internal in oracles.triangle_sites(word)
+    ]
+    assert found == expected, word
+
+
+def test_triangle_sites_match_the_oracle_on_every_small_matching():
+    for n in range(7):
+        for word in oracles.enumerate_matchings(n):
+            _assert_triangle_sites_match_oracle(word)
+
+
+def test_triangle_sites_match_the_oracle_on_random_words():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(7, 12)
+        word = [chr(ord("a") + i) for i in range(n) for _ in (0, 1)]
+        rng.shuffle(word)
+        _assert_triangle_sites_match_oracle(tuple(word))
 
 
 def test_trefoil_contract_results():

@@ -23,7 +23,6 @@ from flatknots.words import (
     rank_sequence,
     rank_word,
     validate_word,
-    words_equal,
 )
 
 
@@ -130,11 +129,6 @@ def test_canonical_is_least_variant_and_invariant_on_random_words(case):
     assert canonical(word[shift:] + word[:shift]) == c
     assert canonical(word[::-1]) == c
     assert canonical(tuple(renames[label] for label in word)) == c
-
-
-def test_words_equal():
-    assert words_equal(TREFOIL, ("c", "a", "b", "c", "a", "b"))
-    assert not words_equal(TREFOIL, FIGURE8)
 
 
 def test_fresh_label():
