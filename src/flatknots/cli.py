@@ -26,7 +26,7 @@ from .invariants import (
 )
 from .knots import determinant, jones_normalized, kauffman_bracket, positive_resolution
 from .laurent import laurent_format
-from .moves import apply_move, find_sites, move_set
+from .moves import MOVE_SETS, apply_move, find_sites, move_set
 from .words import (
     WordError,
     canonical,
@@ -321,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Invariants, moves, and searches on knot projection words.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    move_names = tuple(MOVE_SETS)
 
     p_inv = sub.add_parser("invariants", help="invariant report for a word or corpus")
     p_inv.add_argument("word", nargs="?", help="gauss code, e.g. 'a b c a b c'")
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_moves = sub.add_parser("moves", help="list or apply rewrite sites")
     p_moves.add_argument("action", choices=("list", "apply"))
     p_moves.add_argument("word")
-    p_moves.add_argument("--moves", default="both", choices=("r1", "strong", "weak", "both"))
+    p_moves.add_argument("--moves", default="both", choices=move_names)
     p_moves.add_argument("--site", type=int, help="site index from 'moves list'")
     p_moves.add_argument("--json", action="store_true")
     p_moves.set_defaults(func=_cmd_moves)
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore_sub = p_explore.add_subparsers(dest="action", required=True)
     p_class = explore_sub.add_parser("class", help="bounded closure of a word")
     p_class.add_argument("word")
-    p_class.add_argument("--moves", default="both", choices=("r1", "strong", "weak", "both"))
+    p_class.add_argument("--moves", default="both", choices=move_names)
     p_class.add_argument("--max-n", type=int, default=6, dest="max_n")
     p_class.add_argument("--max-states", type=int, default=200000, dest="max_states")
     p_class.add_argument("--json", action="store_true")
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_equiv = explore_sub.add_parser("equiv", help="decide or refute equivalence")
     p_equiv.add_argument("word")
     p_equiv.add_argument("other")
-    p_equiv.add_argument("--moves", default="both", choices=("r1", "strong", "weak", "both"))
+    p_equiv.add_argument("--moves", default="both", choices=move_names)
     p_equiv.add_argument("--max-n", type=int, default=8, dest="max_n")
     p_equiv.add_argument("--max-states", type=int, default=200000, dest="max_states")
     p_equiv.add_argument("--json", action="store_true")

@@ -74,8 +74,12 @@ def load_corpus(path: Optional[str] = None) -> Tuple[CorpusEntry, ...]:
     """Entries of the file at ``path``, or of the bundled catalog."""
     if path is None:
         return parse_corpus(bundled_corpus_text())
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_corpus(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise CorpusError(f"cannot read {path}: {exc.strerror}") from exc
+    return parse_corpus(text)
 
 
 def corpus_entry(name: str, entries: Optional[Tuple[CorpusEntry, ...]] = None) -> CorpusEntry:

@@ -2,16 +2,17 @@
 
 Two chords interleave when their passages alternate around the cyclic
 word.  The interlacement graph has one vertex per chord and one edge
-per interleaved pair.  Everything here is word level: no embedding is
-required, although some laws (such as evenness of the trivializing
-number) hold only for realizable words.
+per interleaved pair; X, tr and H are all read from the bitsets that
+``words.interlacement_masks`` builds.  Everything here is word level:
+no embedding is required, although some laws (such as evenness of the
+trivializing number) hold only for realizable words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Sequence, Set, Tuple
+from typing import Sequence, Tuple
 
 from .embedding import is_realizable
 from .words import (
@@ -19,7 +20,6 @@ from .words import (
     canonical,
     chord_count,
     interlacement_masks,
-    letters,
     prime_decompose,
     validate_word,
 )
@@ -28,32 +28,15 @@ TREFOIL_SHAPE: Word = ("a", "b", "c", "a", "b", "c")
 CURL_SHAPE: Word = ("a", "a")
 
 
-@lru_cache(maxsize=65536)
-def _interlacement_items(w: Word) -> Tuple[Tuple[str, FrozenSet[str]], ...]:
-    labels = letters(w)
-    items = []
-    for label, mask in zip(labels, interlacement_masks(w)):
-        nbrs = []
-        while mask:
-            low = mask & -mask
-            nbrs.append(labels[low.bit_length() - 1])
-            mask ^= low
-        items.append((label, frozenset(nbrs)))
-    return tuple(items)
-
-
-def interlacement(word: Sequence[str]) -> Dict[str, FrozenSet[str]]:
-    """Adjacency of the interlacement graph, keyed by chord label."""
-    w = tuple(word)
-    validate_word(w)
-    return dict(_interlacement_items(w))
+def _pair_count(masks: Tuple[int, ...]) -> int:
+    return sum(mask.bit_count() for mask in masks) // 2
 
 
 @lru_cache(maxsize=65536)
 def _cross_count(shape: Word) -> int:
     """X of a validated word.  X does not depend on the presentation, so
     callers that hold canonical shapes share one entry per class."""
-    return sum(mask.bit_count() for mask in interlacement_masks(shape)) // 2
+    return _pair_count(interlacement_masks(shape))
 
 
 def cross_chord_number(word: Sequence[str]) -> int:
@@ -63,29 +46,27 @@ def cross_chord_number(word: Sequence[str]) -> int:
     return _cross_count(w)
 
 
-def _remove_vertices(edges: FrozenSet[Tuple[str, str]], gone: Set[str]) -> FrozenSet[Tuple[str, str]]:
-    return frozenset(e for e in edges if e[0] not in gone and e[1] not in gone)
+def _min_cover(masks: Tuple[int, ...], alive: int) -> int:
+    """Least vertex cover of the graph ``masks`` restricted to the ``alive`` chords.
 
-
-@lru_cache(maxsize=65536)
-def _exact_cover(edges: FrozenSet[Tuple[str, str]]) -> int:
-    if not edges:
+    A chord with one live neighbour never beats that neighbour, so the
+    neighbour is taken.  Otherwise branch on a chord of highest degree:
+    it is in the cover, or all its neighbours are.  The second branch
+    is cut when the neighbours alone cost as much as the first cover.
+    """
+    degrees = {v: (m & alive).bit_count() for v, m in enumerate(masks) if alive >> v & 1}
+    leaf = next((v for v, d in degrees.items() if d == 1), None)
+    if leaf is not None:
+        return 1 + _min_cover(masks, alive & ~masks[leaf])
+    top = max(degrees.values(), default=0)
+    if top == 0:
         return 0
-    degree: Dict[str, int] = {}
-    for a, b in edges:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    # A degree one vertex never beats its neighbor: take the neighbor.
-    for a, b in sorted(edges):
-        if degree[a] == 1:
-            return 1 + _exact_cover(_remove_vertices(edges, {b}))
-        if degree[b] == 1:
-            return 1 + _exact_cover(_remove_vertices(edges, {a}))
-    pivot = min(v for v, d in degree.items() if d == max(degree.values()))
-    neighbors = {u for e in edges if pivot in e for u in e if u != pivot}
-    with_pivot = 1 + _exact_cover(_remove_vertices(edges, {pivot}))
-    without_pivot = len(neighbors) + _exact_cover(_remove_vertices(edges, neighbors | {pivot}))
-    return min(with_pivot, without_pivot)
+    pivot = next(v for v, d in degrees.items() if d == top)
+    rest = alive & ~(1 << pivot)
+    best = 1 + _min_cover(masks, rest)
+    if top < best:
+        best = min(best, top + _min_cover(masks, rest & ~masks[pivot]))
+    return best
 
 
 def trivializing_number(word: Sequence[str]) -> int:
@@ -94,13 +75,34 @@ def trivializing_number(word: Sequence[str]) -> int:
     Equals the minimum vertex cover of the interlacement graph, computed
     exactly.  For realizable words the value is always even.
     """
-    adjacency = interlacement(word)
-    edges = frozenset(
-        (a, b) if a < b else (b, a)
-        for a, nbrs in adjacency.items()
-        for b in nbrs
+    w = tuple(word)
+    validate_word(w)
+    masks = interlacement_masks(w)
+    return _min_cover(masks, (1 << len(masks)) - 1)
+
+
+def _h_flag(masks: Tuple[int, ...]) -> int:
+    n = len(masks)
+    # An induced path u - v - x: x is a neighbour of v, not u, not a neighbour of u.
+    has_path = any(
+        masks[v] & ~masks[u] & ~(1 << u) for v in range(n) for u in range(n) if masks[v] >> u & 1
     )
-    return _exact_cover(edges)
+    # A union of cliques: each member's closed neighbourhood is its component.
+    clique_union = True
+    unseen = (1 << n) - 1
+    while unseen:
+        component, grown = 0, unseen & -unseen
+        while grown != component:
+            component = grown
+            for v in range(n):
+                if component >> v & 1:
+                    grown |= masks[v]
+        unseen &= ~component
+        if any(component >> v & 1 and masks[v] | 1 << v != component for v in range(n)):
+            clique_union = False
+    if has_path == clique_union:
+        raise RuntimeError("h invariant characterizations disagree; this is a defect")
+    return int(has_path)
 
 
 def h_invariant(word: Sequence[str]) -> int:
@@ -111,68 +113,20 @@ def h_invariant(word: Sequence[str]) -> int:
     """
     w = tuple(word)
     validate_word(w)
-    return _h_cached(w)
-
-
-@lru_cache(maxsize=65536)
-def _h_cached(word: Word) -> int:
-    adjacency = interlacement(word)
-    labels = sorted(adjacency)
-
-    has_path = False
-    for i, a in enumerate(labels):
-        for j in range(i + 1, len(labels)):
-            for k in range(j + 1, len(labels)):
-                b, c = labels[j], labels[k]
-                count = (b in adjacency[a]) + (c in adjacency[a]) + (c in adjacency[b])
-                if count == 2:
-                    has_path = True
-
-    clique_union = True
-    seen: Set[str] = set()
-    for root in labels:
-        if root in seen:
-            continue
-        component = {root}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in adjacency[x]:
-                if y not in component:
-                    component.add(y)
-                    stack.append(y)
-        seen |= component
-        members = sorted(component)
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                if b not in adjacency[a]:
-                    clique_union = False
-
-    if has_path == clique_union:
-        raise RuntimeError(
-            "h invariant characterizations disagree; this is a defect"
-        )
-    return int(has_path)
+    return _h_flag(interlacement_masks(w))
 
 
 def reduce_r1(word: Sequence[str]) -> Word:
     """Delete cyclically adjacent equal pairs until none remain."""
     w = list(word)
     validate_word(tuple(w))
-    changed = True
-    while changed and w:
-        changed = False
+    while True:
         total = len(w)
-        for i in range(total):
-            if w[i] == w[(i + 1) % total]:
-                if i + 1 < total:
-                    del w[i : i + 2]
-                else:
-                    del w[i]
-                    del w[0]
-                changed = True
-                break
-    return tuple(w)
+        i = next((k for k in range(total) if w[k] == w[(k + 1) % total]), None)
+        if i is None:
+            return tuple(w)
+        for j in sorted({i, (i + 1) % total}, reverse=True):
+            del w[j]
 
 
 def r1_normal_form(word: Sequence[str]) -> Word:
@@ -203,10 +157,12 @@ class InvariantReport:
 
 
 def invariant_report(word: Sequence[str]) -> InvariantReport:
+    """Every invariant of one word; X, tr and H share one interlacement graph."""
     w = tuple(word)
     validate_word(w)
-    x = cross_chord_number(w)
-    tr = trivializing_number(w)
+    masks = interlacement_masks(w)
+    x = _pair_count(masks)
+    tr = _min_cover(masks, (1 << len(masks)) - 1)
     realizable = is_realizable(w)
     if realizable and tr % 2 != 0:
         raise RuntimeError(
@@ -219,7 +175,7 @@ def invariant_report(word: Sequence[str]) -> InvariantReport:
         cross_chords=x,
         cross_chords_mod3=x % 3,
         trivializing=tr,
-        h=h_invariant(w),
+        h=_h_flag(masks),
         reduced=r1_normal_form(w),
         trefoil_summands=trefoil_summand_count(w),
         realizable=realizable,

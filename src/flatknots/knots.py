@@ -254,12 +254,3 @@ def alternating_determinant(word: Sequence[str]) -> int:
     validate_word(w)
     return _alternating_determinant_cached(w)
 
-
-def seifert_state(diagram: Diagram) -> Tuple[int, ...]:
-    """The state whose splits follow the traversal orientation."""
-    return tuple(0 if s > 0 else 1 for s in diagram.signs)
-
-
-def oriented_loop_count(diagram: Diagram) -> int:
-    """Loops of the orientation-respecting split at every crossing."""
-    return smoothing_loops(diagram, seifert_state(diagram))

@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict
 
 Laurent = Dict[int, int]
-
-
-def laurent_zero() -> Laurent:
-    return {}
 
 
 def laurent_one() -> Laurent:
@@ -41,28 +37,6 @@ def laurent_mul(a: Laurent, b: Laurent) -> Laurent:
     return laurent_trim(out)
 
 
-def laurent_neg(a: Laurent) -> Laurent:
-    return {e: -c for e, c in a.items() if c != 0}
-
-
-def laurent_pow(a: Laurent, k: int) -> Laurent:
-    if k < 0:
-        raise ValueError("negative powers are not defined here")
-    out = laurent_one()
-    for _ in range(k):
-        out = laurent_mul(out, a)
-    return out
-
-
-def laurent_equal(a: Laurent, b: Laurent) -> bool:
-    return laurent_trim(a) == laurent_trim(b)
-
-
-def laurent_mirror(a: Laurent) -> Laurent:
-    """Substitute the variable by its inverse."""
-    return {-e: c for e, c in a.items() if c != 0}
-
-
 def laurent_format(a: Laurent) -> str:
     """Sorted "exponent:coefficient" pairs; the zero polynomial is "0"."""
     trimmed = laurent_trim(a)
@@ -70,9 +44,3 @@ def laurent_format(a: Laurent) -> str:
         return "0"
     return " ".join(f"{e}:{trimmed[e]}" for e in sorted(trimmed))
 
-
-def laurent_from_pairs(pairs: Iterable[Tuple[int, int]]) -> Laurent:
-    out: Laurent = {}
-    for e, c in pairs:
-        out[e] = out.get(e, 0) + c
-    return laurent_trim(out)

@@ -149,18 +149,6 @@ def _curl_delete_sites(w: Word) -> List[MoveSite]:
     ]
 
 
-def find_curl_add_sites(word: Sequence[str]) -> List[MoveSite]:
-    w = tuple(word)
-    validate_word(w)
-    return _curl_add_sites(w)
-
-
-def find_curl_delete_sites(word: Sequence[str]) -> List[MoveSite]:
-    w = tuple(word)
-    validate_word(w)
-    return _curl_delete_sites(w)
-
-
 _ChordGraph = Tuple[Dict[str, int], Tuple[int, ...]]
 
 
@@ -182,6 +170,10 @@ def _triangle_kind(graph: _ChordGraph, chords: Tuple[str, str, str]) -> MoveKind
 
 
 def _triangle_sites(w: Word) -> List[MoveSite]:
+    """All triangle sites, ordered by their factor start positions.
+
+    Distinct sites may involve the same three chords.
+    """
     total = len(w)
     if total < 6:
         return []
@@ -225,16 +217,6 @@ def _triangle_sites(w: Word) -> List[MoveSite]:
                     )
     sites.sort(key=lambda site: site.positions)
     return sites
-
-
-def find_triangle_sites(word: Sequence[str]) -> List[MoveSite]:
-    """All triangle sites, ordered by their factor start positions.
-
-    Distinct sites may involve the same three chords.
-    """
-    w = tuple(word)
-    validate_word(w)
-    return _triangle_sites(w)
 
 
 def find_sites(word: Sequence[str], kinds: Iterable[MoveKind]) -> List[MoveSite]:

@@ -80,6 +80,17 @@ def test_invariants_over_corpus(capsys, tmp_path):
     assert payload[1]["tr"] == 2
 
 
+@pytest.mark.parametrize("command", ["invariants", "table"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_corpus_is_a_corpus_error(capsys, tmp_path, command, kind):
+    path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
+    reason = "No such file or directory" if kind == "missing" else "Is a directory"
+    code, out, err = run(capsys, command, "--corpus", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"corpus error: cannot read {path}: {reason}\n"
+
+
 def test_table_rows_and_adjacency(capsys):
     code, out, _ = run(capsys, "table")
     assert code == 0

@@ -1,5 +1,7 @@
 """Bundled catalog: loading, validation errors, and frozen rows."""
 
+import re
+
 import pytest
 
 from flatknots import (
@@ -129,3 +131,11 @@ def test_load_corpus_from_custom_path(tmp_path):
     entries = load_corpus(str(path))
     assert [e.name for e in entries] == ["t"]
     assert entries[0].word == ("a", "b", "c", "a", "b", "c")
+
+
+def test_load_corpus_names_an_unreadable_path(tmp_path):
+    missing = tmp_path / "absent.txt"
+    with pytest.raises(CorpusError, match=re.escape(f"cannot read {missing}: No such file")):
+        load_corpus(str(missing))
+    with pytest.raises(CorpusError, match=re.escape(f"cannot read {tmp_path}: Is a directory")):
+        load_corpus(str(tmp_path))

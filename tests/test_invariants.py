@@ -1,4 +1,5 @@
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sample_words import (
@@ -12,14 +13,13 @@ from flatknots.embedding import is_realizable
 from flatknots.invariants import (
     cross_chord_number,
     h_invariant,
-    interlacement,
     invariant_report,
     r1_normal_form,
     reduce_r1,
     trefoil_summand_count,
     trivializing_number,
 )
-from flatknots.words import canonical, connected_sum, rank_sequence
+from flatknots.words import canonical, connected_sum, interlacement_masks, letters, rank_sequence
 
 
 def _canonical_words(n):
@@ -31,19 +31,21 @@ def _canonical_words(n):
             yield c
 
 
+def _mask_edges(word):
+    """The interlacement edges decoded from ``interlacement_masks``."""
+    labels = letters(word)
+    return {
+        tuple(sorted((labels[i], labels[j])))
+        for i, mask in enumerate(interlacement_masks(word))
+        for j in range(len(labels))
+        if mask >> j & 1
+    }
+
+
 def test_interlacement_frozen():
-    assert interlacement(TREFOIL) == {
-        "a": frozenset({"b", "c"}),
-        "b": frozenset({"a", "c"}),
-        "c": frozenset({"a", "b"}),
-    }
+    assert _mask_edges(TREFOIL) == {("a", "b"), ("a", "c"), ("b", "c")}
     # A four cycle with parts {a, b} and {c, d}.
-    assert interlacement(FIGURE8) == {
-        "a": frozenset({"c", "d"}),
-        "b": frozenset({"c", "d"}),
-        "c": frozenset({"a", "b"}),
-        "d": frozenset({"a", "b"}),
-    }
+    assert _mask_edges(FIGURE8) == {("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")}
 
 
 def test_cross_chord_frozen():
@@ -87,8 +89,7 @@ def test_h_one_needs_three_chords_and_is_unique_there():
 def test_interlacement_matches_oracle():
     for n in (2, 3, 4, 5):
         for word in oracles.enumerate_matchings(n):
-            edges = {tuple(sorted((a, b))) for a, nbrs in interlacement(word).items() for b in nbrs}
-            assert edges == oracles.interlacement_edges(word), word
+            assert _mask_edges(word) == oracles.interlacement_edges(word), word
 
 
 def test_cross_chord_matches_oracle():
@@ -97,23 +98,31 @@ def test_cross_chord_matches_oracle():
             assert cross_chord_number(word) == oracles.cross_pairs(word)
 
 
+def _brute_tr(word):
+    return oracles.brute_min_cover(sorted(set(word)), oracles.interlacement_edges(word))
+
+
 def test_trivializing_matches_brute_force():
-    for n in (2, 3, 4):
+    for n in range(7):
         for word in _canonical_words(n):
-            vertices = sorted(set(word))
-            edges = oracles.interlacement_edges(word)
-            assert trivializing_number(word) == oracles.brute_min_cover(vertices, edges)
+            assert trivializing_number(word) == _brute_tr(word), word
+
+
+@settings(derandomize=True)
+@given(st.integers(0, 12).flatmap(lambda n: st.permutations([f"c{i}" for i in range(n)] * 2)))
+def test_trivializing_matches_brute_force_on_random_words(word):
+    assert trivializing_number(word) == _brute_tr(word)
 
 
 def test_h_matches_both_oracles():
-    for n in (2, 3, 4):
+    for n in range(7):
         for word in _canonical_words(n):
             vertices = sorted(set(word))
             edges = oracles.interlacement_edges(word)
             path = oracles.has_induced_path3(vertices, edges)
             cliques = oracles.is_union_of_cliques(vertices, edges)
             assert path != cliques
-            assert h_invariant(word) == int(path)
+            assert h_invariant(word) == int(path), word
 
 
 def test_trivializing_even_for_realizable():

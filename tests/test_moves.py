@@ -19,10 +19,7 @@ from flatknots.moves import (
     MoveKind,
     MoveSite,
     apply_move,
-    find_curl_add_sites,
-    find_curl_delete_sites,
     find_sites,
-    find_triangle_sites,
     move_set,
     neighbors,
 )
@@ -39,24 +36,38 @@ def _canonical_realizable(n):
                 yield c
 
 
+def _curl_add_sites(word):
+    return find_sites(word, (MoveKind.CURL_ADD,))
+
+
+def _curl_delete_sites(word):
+    return find_sites(word, (MoveKind.CURL_DELETE,))
+
+
+def _triangle_sites(word):
+    return find_sites(
+        word, (MoveKind.STRONG_EXPAND, MoveKind.STRONG_CONTRACT, MoveKind.WEAK_SLIDE)
+    )
+
+
 def test_curl_add_sites():
-    assert len(find_curl_add_sites(())) == 1
-    assert len(find_curl_add_sites(CURL)) == 2
-    assert len(find_curl_add_sites(TREFOIL)) == 6
+    assert len(_curl_add_sites(())) == 1
+    assert len(_curl_add_sites(CURL)) == 2
+    assert len(_curl_add_sites(TREFOIL)) == 6
 
 
 def test_curl_delete_sites():
-    assert len(find_curl_delete_sites(TREFOIL)) == 0
-    assert len(find_curl_delete_sites(CURL)) == 2
+    assert len(_curl_delete_sites(TREFOIL)) == 0
+    assert len(_curl_delete_sites(CURL)) == 2
     chain = ("x", "y", "y", "z", "z", "x")
-    assert len(find_curl_delete_sites(chain)) == 3
+    assert len(_curl_delete_sites(chain)) == 3
 
 
 def test_curl_add_then_delete_roundtrip():
     for slot in range(len(TREFOIL)):
         grown = apply_move(TREFOIL, MoveSite(MoveKind.CURL_ADD, (slot,), ()))
         assert len(grown) == 8
-        pair_sites = find_curl_delete_sites(grown)
+        pair_sites = _curl_delete_sites(grown)
         assert len(pair_sites) == 1
         back = apply_move(grown, pair_sites[0])
         assert canonical(back) == canonical(TREFOIL)
@@ -68,7 +79,7 @@ def test_curl_add_on_empty_word():
 
 
 def test_trefoil_triangle_sites_frozen():
-    sites = find_triangle_sites(TREFOIL)
+    sites = _triangle_sites(TREFOIL)
     assert len(sites) == 2
     assert {site.positions for site in sites} == {(0, 2, 4), (1, 3, 5)}
     assert all(site.kind == MoveKind.STRONG_CONTRACT for site in sites)
@@ -86,7 +97,7 @@ _KIND_BY_INTERNAL = {
 
 
 def _assert_triangle_sites_match_oracle(word):
-    found = [(s.positions, s.chords, s.kind) for s in find_triangle_sites(word)]
+    found = [(s.positions, s.chords, s.kind) for s in moves._triangle_sites(word)]
     expected = [
         (positions, chords, _KIND_BY_INTERNAL[internal])
         for positions, chords, internal in oracles.triangle_sites(word)
@@ -110,7 +121,7 @@ def test_triangle_sites_match_the_oracle_on_random_words():
 
 
 def test_trefoil_contract_results():
-    sites = find_triangle_sites(TREFOIL)
+    sites = _triangle_sites(TREFOIL)
     results = {site.positions: apply_move(TREFOIL, site) for site in sites}
     assert results[(0, 2, 4)] == ("b", "a", "a", "c", "c", "b")
     assert results[(1, 3, 5)] == ("c", "c", "b", "b", "a", "a")
@@ -120,16 +131,16 @@ def test_trefoil_contract_results():
 
 
 def test_figure_eight_triangle_sites_all_weak():
-    sites = find_triangle_sites(FIGURE8)
+    sites = _triangle_sites(FIGURE8)
     assert len(sites) == 4
     assert all(site.kind == MoveKind.WEAK_SLIDE for site in sites)
 
 
 def test_triangle_swap_is_involutive():
     for word in (TREFOIL, FIGURE8):
-        for site in find_triangle_sites(word):
+        for site in _triangle_sites(word):
             once = apply_move(word, site)
-            flipped = find_triangle_sites(once)
+            flipped = _triangle_sites(once)
             matching = [s for s in flipped if s.positions == site.positions]
             assert len(matching) == 1
             assert apply_move(once, matching[0]) == word
