@@ -79,6 +79,8 @@ def load_corpus(path: Optional[str] = None) -> Tuple[CorpusEntry, ...]:
             text = handle.read()
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"cannot read {path}: {exc}") from exc
     return parse_corpus(text)
 
 

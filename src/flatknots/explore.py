@@ -5,9 +5,9 @@ searches run inside a window: a chord count cap and a state cap.  A
 completed path certifies equivalence; exhausting the window certifies
 nothing, and the result says so.  Some move sets carry complete or
 partial invariants that decide inequivalence outright: the curl reduced
-normal form for curl moves alone, the cross chord residue mod 3 and the
-clique union flag for the strong set, and the trivializing number for
-the weak set.
+normal form for curl moves alone, and the cross chord residue mod 3,
+the clique union flag and the trivializing number wherever
+``moves.MOVE_LAWS`` keeps them for every move in the set.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .invariants import (
     reduce_r1,
     trivializing_number,
 )
-from .moves import MoveKind, MoveSite, _apply, apply_move, find_sites, move_set
+from .moves import MOVE_LAWS, MoveKind, MoveSite, _apply, apply_move, find_sites, move_set
 from .words import (
     Word,
     _below,
@@ -166,6 +166,16 @@ class EquivalenceResult:
         return payload
 
 
+# Invariants that refute equivalence under a move set when every move
+# law in it keeps them: the cross chord residue mod 3, H and tr.
+_REFUTATIONS = (
+    (lambda law: all(d % 3 == 0 for d in law.dx), lambda w: cross_chord_number(w) % 3,
+     "cross chord residues mod 3 differ: {} vs {}"),
+    (lambda law: law.keeps_h, h_invariant, "clique union flags differ: H={} vs H={}"),
+    (lambda law: law.dtr == (0,), trivializing_number, "trivializing numbers differ: {} vs {}"),
+)
+
+
 def equivalence_query(
     first: Sequence[str],
     second: Sequence[str],
@@ -187,7 +197,8 @@ def equivalence_query(
         )
 
     if moves_name == "r1":
-        # The curl reduced normal form decides this move set completely.
+        # The curl reduced normal form decides this move set completely,
+        # so no invariant the laws keep can refute more.
         na, nb = r1_normal_form(a), r1_normal_form(b)
         if na != nb:
             return EquivalenceResult(
@@ -195,29 +206,12 @@ def equivalence_query(
                 f"curl reduced normal forms differ: {' '.join(na) or '-'} vs {' '.join(nb) or '-'}",
                 None,
             )
-    elif moves_name == "strong":
-        xa, xb = cross_chord_number(a) % 3, cross_chord_number(b) % 3
-        if xa != xb:
-            return EquivalenceResult(
-                "not-equivalent",
-                f"cross chord residues mod 3 differ: {xa} vs {xb}",
-                None,
-            )
-        ha, hb = h_invariant(a), h_invariant(b)
-        if ha != hb:
-            return EquivalenceResult(
-                "not-equivalent",
-                f"clique union flags differ: H={ha} vs H={hb}",
-                None,
-            )
-    elif moves_name == "weak":
-        ta, tb = trivializing_number(a), trivializing_number(b)
-        if ta != tb:
-            return EquivalenceResult(
-                "not-equivalent",
-                f"trivializing numbers differ: {ta} vs {tb}",
-                None,
-            )
+    else:
+        for keeps, invariant, reason in _REFUTATIONS:
+            if all(keeps(MOVE_LAWS[kind]) for kind in kinds):
+                va, vb = invariant(a), invariant(b)
+                if va != vb:
+                    return EquivalenceResult("not-equivalent", reason.format(va, vb), None)
 
     result = search_class(a, kinds, config, stop_at=b)
     path = result.path_to(b)

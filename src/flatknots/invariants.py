@@ -17,6 +17,7 @@ from typing import Sequence, Tuple
 from .embedding import is_realizable
 from .words import (
     Word,
+    _partners,
     canonical,
     chord_count,
     interlacement_masks,
@@ -46,39 +47,40 @@ def cross_chord_number(word: Sequence[str]) -> int:
     return _cross_count(w)
 
 
-def _min_cover(masks: Tuple[int, ...], alive: int) -> int:
-    """Least vertex cover of the graph ``masks`` restricted to the ``alive`` chords.
-
-    A chord with one live neighbour never beats that neighbour, so the
-    neighbour is taken.  Otherwise branch on a chord of highest degree:
-    it is in the cover, or all its neighbours are.  The second branch
-    is cut when the neighbours alone cost as much as the first cover.
-    """
-    degrees = {v: (m & alive).bit_count() for v, m in enumerate(masks) if alive >> v & 1}
-    leaf = next((v for v, d in degrees.items() if d == 1), None)
-    if leaf is not None:
-        return 1 + _min_cover(masks, alive & ~masks[leaf])
-    top = max(degrees.values(), default=0)
-    if top == 0:
-        return 0
-    pivot = next(v for v, d in degrees.items() if d == top)
-    rest = alive & ~(1 << pivot)
-    best = 1 + _min_cover(masks, rest)
-    if top < best:
-        best = min(best, top + _min_cover(masks, rest & ~masks[pivot]))
-    return best
+def _trivializing(w: Word) -> int:
+    """tr of a validated word.  Chords go by increasing span; ``inside[q]``
+    is 1 for chord (p, q) plus the best interval schedule of the chords
+    inside it, with ``row[t + 1]`` the best over p + 1 .. t.  The sentinel
+    chord (-1, 2n) spans the word and gives the most non-crossing chords."""
+    partner = _partners(w)
+    total = len(w)
+    inside = [0] * (total + 1)
+    row = [0] * (total + 1)
+    spans = sorted((q - p, p, q) for p, q in enumerate(partner) if p < q)
+    for _, p, q in spans + [(total + 1, -1, total)]:
+        row[p + 1] = 0
+        for t in range(p + 1, q):
+            a = partner[t]
+            row[t + 1] = max(row[t], row[a] + inside[t]) if p < a < t else row[t]
+        inside[q] = 1 + row[q]
+    return total // 2 - row[total]
 
 
 def trivializing_number(word: Sequence[str]) -> int:
     """tr: the least number of chords whose removal kills every interleaving.
 
-    Equals the minimum vertex cover of the interlacement graph, computed
-    exactly.  For realizable words the value is always even.
+    The least vertex cover of the interlacement graph is n minus its
+    largest set of pairwise non-interleaved chords, which an exact
+    interval DP finds for a circle graph in O(n^2) time and O(n) memory
+    (Gavril, Networks 3, 1973; Supowit, IEEE TCAD 6, 1987).  Cutting the
+    cyclic word at position 0 keeps the interleaving relation of
+    ``interlacement_masks``: whether one passage of chord j lies between
+    the passages of chord i does not depend on where the circle is cut.
+    For realizable words the value is always even.
     """
     w = tuple(word)
     validate_word(w)
-    masks = interlacement_masks(w)
-    return _min_cover(masks, (1 << len(masks)) - 1)
+    return _trivializing(w)
 
 
 def _h_flag(masks: Tuple[int, ...]) -> int:
@@ -157,12 +159,12 @@ class InvariantReport:
 
 
 def invariant_report(word: Sequence[str]) -> InvariantReport:
-    """Every invariant of one word; X, tr and H share one interlacement graph."""
+    """Every invariant of one word; X and H share one interlacement graph, tr reads partners."""
     w = tuple(word)
     validate_word(w)
     masks = interlacement_masks(w)
     x = _pair_count(masks)
-    tr = _min_cover(masks, (1 << len(masks)) - 1)
+    tr = _trivializing(w)
     realizable = is_realizable(w)
     if realizable and tr % 2 != 0:
         raise RuntimeError(

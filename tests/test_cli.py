@@ -8,8 +8,10 @@ import pytest
 
 from flatknots import MOVE_LAWS, MoveKind
 from flatknots.cli import main
+from flatknots.words import connected_sum
 
 TREFOIL_TEXT = "a b c a b c"
+TREFOIL_WORD = tuple(TREFOIL_TEXT.split())
 FIGURE8_TEXT = "a b c a d c b d"
 NONREALIZABLE_TEXT = "a b c d a b c d"
 
@@ -81,14 +83,32 @@ def test_invariants_over_corpus(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["invariants", "table"])
-@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
 def test_unreadable_corpus_is_a_corpus_error(capsys, tmp_path, command, kind):
-    path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
-    reason = "No such file or directory" if kind == "missing" else "Is a directory"
+    path, reason = {
+        "missing": (tmp_path / "absent.txt", "No such file or directory"),
+        "directory": (tmp_path, "Is a directory"),
+        "not-utf8": (
+            tmp_path / "latin1.txt",
+            "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
+        ),
+    }[kind]
+    if kind == "not-utf8":
+        path.write_bytes(b"3_1: abcab\xff c a b c\n")
     code, out, err = run(capsys, command, "--corpus", str(path))
     assert code == 2
     assert out == ""
     assert err == f"corpus error: cannot read {path}: {reason}\n"
+
+
+def test_invariants_of_a_sixteen_trefoil_sum(capsys):
+    word = TREFOIL_WORD
+    for _ in range(15):
+        word = connected_sum(word, TREFOIL_WORD, slot=len(word) // 2)
+    code, out, _ = run(capsys, "invariants", " ".join(word), "--json")
+    assert code == 0
+    assert '"tr": 32' in out
+    assert json.loads(out)["n"] == 48
 
 
 def test_table_rows_and_adjacency(capsys):

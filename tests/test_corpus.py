@@ -139,3 +139,7 @@ def test_load_corpus_names_an_unreadable_path(tmp_path):
         load_corpus(str(missing))
     with pytest.raises(CorpusError, match=re.escape(f"cannot read {tmp_path}: Is a directory")):
         load_corpus(str(tmp_path))
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"\xff")
+    with pytest.raises(CorpusError, match=re.escape(f"cannot read {latin1}: 'utf-8' codec")):
+        load_corpus(str(latin1))

@@ -186,6 +186,14 @@ def test_weak_moves_cannot_untie_the_trefoil():
     assert "trivializing" in result.reason
 
 
+def test_refutations_follow_the_move_laws(monkeypatch):
+    law = MOVE_LAWS[MoveKind.WEAK_SLIDE]
+    monkeypatch.setitem(MOVE_LAWS, MoveKind.WEAK_SLIDE, law._replace(dtr=(-2, 0, 2)))
+    result = equivalence_query(TREFOIL, (), moves_name="weak", config=SearchConfig(max_chords=3))
+    assert result.verdict == "unknown"
+    assert "trivializing" not in result.reason
+
+
 def test_r1_verdicts_follow_the_normal_form():
     refuted = equivalence_query(TREFOIL, (), moves_name="r1")
     assert refuted.verdict == "not-equivalent"

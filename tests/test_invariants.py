@@ -9,7 +9,9 @@ from sample_words import (
     NONREALIZABLE_3,
     TREFOIL,
 )
+from flatknots.corpus import load_corpus
 from flatknots.embedding import is_realizable
+from flatknots.explore import twist_family
 from flatknots.invariants import (
     cross_chord_number,
     h_invariant,
@@ -112,6 +114,34 @@ def test_trivializing_matches_brute_force():
 @given(st.integers(0, 12).flatmap(lambda n: st.permutations([f"c{i}" for i in range(n)] * 2)))
 def test_trivializing_matches_brute_force_on_random_words(word):
     assert trivializing_number(word) == _brute_tr(word)
+
+
+def test_trivializing_adds_over_connected_sums():
+    # The interlacement graph of a connected sum is the disjoint union
+    # of the summands' graphs, so tr adds up.
+    primes = [entry.word for entry in load_corpus()]
+    word, total = (), 0
+    for k in range(20):
+        prime = primes[(7 * k) % len(primes)]
+        word = connected_sum(word, prime, slot=(5 * k) % (len(word) + 1))
+        total += _brute_tr(prime)
+        assert trivializing_number(word) == total, k + 1
+
+
+def test_trivializing_of_long_twist_members():
+    for k in list(range(1, 61)) + [98, 198]:
+        assert trivializing_number(twist_family(k)) == 2, k
+
+
+def test_trivializing_of_a_long_chord_path():
+    n = 2100
+    # c0 c1 c0 c2 c1 c3 c2 ... c2099: chord i interleaves only its
+    # neighbours i - 1 and i + 1 on the path.
+    pairs = (label for i in range(1, n) for label in (f"c{i}", f"c{i - 1}"))
+    word = ("c0", *pairs, f"c{n - 1}")
+    path = tuple((1 << i - 1 if i else 0) | (1 << i + 1 if i < n - 1 else 0) for i in range(n))
+    assert interlacement_masks(word) == path
+    assert trivializing_number(word) == n // 2
 
 
 def test_h_matches_both_oracles():
