@@ -32,7 +32,7 @@ from .invariants import (
 )
 from .knots import determinant, jones_normalized, positive_resolution
 from .moves import MOVE_LAWS, MoveKind, apply_move, find_sites, move_set
-from .words import Word, canonical, chord_count, connected_sum, format_word
+from .words import Word, canonical, chord_count, connected_sum, format_word, label_for_rank
 
 
 def move_deltas(word: Word, after: Word) -> Tuple[int, int, int]:
@@ -94,7 +94,7 @@ def _random_word(rng: random.Random, n: int) -> Word:
     slots: List[Optional[str]] = [None] * (2 * n)
     free = list(range(2 * n))
     for index in range(n):
-        label = chr(ord("a") + index) if index < 26 else f"x{index}"
+        label = label_for_rank(index)
         first = free.pop(0)
         other = free.pop(rng.randrange(len(free)))
         slots[first] = slots[other] = label

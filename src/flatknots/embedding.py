@@ -113,7 +113,17 @@ class Embedding:
 
     word: Word
     bits: Tuple[int, ...]
-    inventory: FaceInventory
+
+    @property
+    def inventory(self) -> FaceInventory:
+        """The faces, built each time they are read; only the bits are stored."""
+        total = len(self.word)
+        faces = []
+        for orbit in _face_orbits(self.word, self.bits):
+            corners = tuple(self.word[_dart_position(d, total)] for d in orbit)
+            parities = tuple(d % 2 for d in orbit)
+            faces.append(Face(darts=tuple(orbit), corners=corners, parities=parities))
+        return FaceInventory(faces=tuple(faces))
 
 
 def vertex_rotations(word: Sequence[str], bits: Sequence[int]) -> Dict[int, Tuple[int, int, int, int]]:
@@ -135,17 +145,18 @@ def vertex_rotations(word: Sequence[str], bits: Sequence[int]) -> Dict[int, Tupl
     return out
 
 
-def _next_dart(word: Word, bits: Sequence[int]) -> list:
-    """The rotation permutation on dart ends (next counterclockwise)."""
+def _face_orbits(word: Word, bits: Sequence[int]) -> list:
+    """Orbits of d -> next(d ^ 1); dart d ^ 1 is the other arc end.
+
+    The simple closed curve (the empty word) splits the sphere into two
+    faces with no crossings on their boundary, so it has two empty orbits.
+    """
+    if not word:
+        return [[], []]
     sigma = [0] * (2 * len(word))
     for cycle in vertex_rotations(word, bits).values():
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             sigma[a] = b
-    return sigma
-
-
-def _face_orbits(sigma: Sequence[int]) -> list:
-    """Orbits of d -> sigma[d ^ 1]; dart d ^ 1 is the other arc end."""
     seen = [False] * len(sigma)
     orbits = []
     for start in range(len(sigma)):
@@ -165,21 +176,6 @@ def _dart_position(d: int, total: int) -> int:
     if d % 2 == 0:
         return d // 2
     return (d // 2 + 1) % total
-
-
-def _build_faces(word: Word, orbits: Sequence[Sequence[int]]) -> FaceInventory:
-    total = len(word)
-    faces = []
-    for orbit in orbits:
-        corners = tuple(word[_dart_position(d, total)] for d in orbit)
-        parities = tuple(d % 2 for d in orbit)
-        faces.append(Face(darts=tuple(orbit), corners=corners, parities=parities))
-    return FaceInventory(faces=tuple(faces))
-
-
-_EMPTY_INVENTORY = FaceInventory(
-    faces=(Face((), (), ()), Face((), (), ()))
-)
 
 
 def _propagated_bits(w: Word) -> "Tuple[int, ...] | None":
@@ -214,18 +210,10 @@ def _propagated_bits(w: Word) -> "Tuple[int, ...] | None":
 
 @lru_cache(maxsize=65536)
 def _realize_cached(w: Word) -> "Embedding | None":
-    n = len(w) // 2
-    if n == 0:
-        # The simple closed curve splits the sphere into two faces with
-        # no crossings on their boundary.
-        return Embedding(word=(), bits=(), inventory=_EMPTY_INVENTORY)
     bits = _propagated_bits(w)
-    if bits is None:
+    if bits is None or len(_face_orbits(w, bits)) != len(w) // 2 + 2:
         return None
-    orbits = _face_orbits(_next_dart(w, bits))
-    if len(orbits) != n + 2:
-        return None
-    return Embedding(word=w, bits=bits, inventory=_build_faces(w, orbits))
+    return Embedding(word=w, bits=bits)
 
 
 def realize(word: Sequence[str]) -> Embedding:
@@ -233,7 +221,9 @@ def realize(word: Sequence[str]) -> Embedding:
 
     The bits come from the pair rule of the module docstring, the least
     choice in each interlacement component, and are accepted only when
-    they give n + 2 faces.  Raises NotRealizableError otherwise.
+    they give n + 2 faces.  The result holds the word and its bits; its
+    face inventory is built when it is read.  Raises NotRealizableError
+    otherwise.
     """
     w = tuple(word)
     validate_word(w)
@@ -243,15 +233,10 @@ def realize(word: Sequence[str]) -> Embedding:
     return found
 
 
-@lru_cache(maxsize=65536)
-def _realizable_by_shape(shape: Word) -> bool:
-    return _realize_cached(shape) is not None
-
-
 def is_realizable(word: Sequence[str]) -> bool:
     w = tuple(word)
     validate_word(w)
-    return _realizable_by_shape(canonical(w))
+    return _realize_cached(canonical(w)) is not None
 
 
 def faces(word: Sequence[str]) -> FaceInventory:
@@ -263,6 +248,4 @@ def face_count_for_bits(word: Sequence[str], bits: Sequence[int]) -> int:
     """Number of faces produced by an explicit rotation assignment."""
     w = tuple(word)
     validate_word(w)
-    if not w:
-        return 2
-    return len(_face_orbits(_next_dart(w, tuple(bits))))
+    return len(_face_orbits(w, tuple(bits)))

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .embedding import _realizable_by_shape, faces
+from .embedding import _realize_cached, faces
 from .invariants import (
     CURL_SHAPE,
     TREFOIL_SHAPE,
@@ -234,7 +233,6 @@ def equivalence_query(
     )
 
 
-@lru_cache(maxsize=None)
 def enumerate_words(n: int) -> Tuple[Word, ...]:
     """All canonical double occurrence words with n chords, sorted.
 
@@ -280,7 +278,7 @@ def enumerate_words(n: int) -> Tuple[Word, ...]:
 
 def enumerate_realizable(n: int) -> Tuple[Word, ...]:
     # Enumerated words are canonical already, so the shape is checked as is.
-    return tuple(w for w in enumerate_words(n) if _realizable_by_shape(w))
+    return tuple(w for w in enumerate_words(n) if _realize_cached(w) is not None)
 
 
 def strong_trivial_test(word: Sequence[str]) -> bool:

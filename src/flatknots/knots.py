@@ -26,7 +26,6 @@ tally, so the work follows the number of frontiers, not 2^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Sequence, Set, Tuple
 
 from .embedding import realize, vertex_rotations
@@ -243,14 +242,7 @@ def determinant(diagram: Diagram) -> int:
     return abs(value)
 
 
-@lru_cache(maxsize=4096)
-def _alternating_determinant_cached(w: Word) -> int:
-    return determinant(alternating_diagram(w))
-
-
 def alternating_determinant(word: Sequence[str]) -> int:
     """Determinant of the alternating resolution of the word."""
-    w = tuple(word)
-    validate_word(w)
-    return _alternating_determinant_cached(w)
+    return determinant(alternating_diagram(word))
 

@@ -26,15 +26,14 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
-from .embedding import _realizable_by_shape
-from .invariants import _cross_count
+from .embedding import _realize_cached
+from .invariants import _cross_count, _pair_count
 from .words import (
     Word,
     _canonical_cached,
     all_slots,
     fresh_label,
     interlacement_masks,
-    letters,
     validate_word,
 )
 
@@ -149,19 +148,17 @@ def _curl_delete_sites(w: Word) -> List[MoveSite]:
     ]
 
 
-_ChordGraph = Tuple[Dict[str, int], Tuple[int, ...]]
+def _triangle_kind(w: Word, starts: Sequence[int]) -> MoveKind:
+    """The kind of the triangle site whose factors start at ``starts``.
 
-
-def _chord_graph(w: Word) -> _ChordGraph:
-    """Chord index by label, and the interlacement bitsets in that order."""
-    index = {label: i for i, label in enumerate(letters(w))}
-    return index, interlacement_masks(w)
-
-
-def _triangle_kind(graph: _ChordGraph, chords: Tuple[str, str, str]) -> MoveKind:
-    index, masks = graph
-    a, b, c = (index[label] for label in chords)
-    internal = (masks[a] >> b & 1) + (masks[a] >> c & 1) + (masks[b] >> c & 1)
+    The three factors hold both passages of each site chord, and two
+    chords interleave exactly when their four passages alternate, so
+    the internal interleavings are read off the six factor letters in
+    cyclic order.
+    """
+    total = len(w)
+    six = [w[(s + d) % total] for s in sorted(starts) for d in (0, 1)]
+    internal = _pair_count(interlacement_masks(six))
     if internal == 3:
         return MoveKind.STRONG_CONTRACT
     if internal == 0:
@@ -191,7 +188,6 @@ def _triangle_sites(w: Word) -> List[MoveSite]:
     def apart(s: int, t: int) -> bool:
         return (t - s) % total not in (0, 1, total - 1)
 
-    graph = _chord_graph(w)
     sites: List[MoveSite] = []
     # Each site is found once, from its first factor i = {a, b}: its
     # other sides are a factor j = {b, c} through b and a factor
@@ -207,13 +203,9 @@ def _triangle_sites(w: Word) -> List[MoveSite]:
             # No side has the label pair {a, a}, so c == a finds no k.
             for k in by_pair.get(frozenset((a, c)), ()):
                 if k > i and apart(i, k) and apart(j, k):
-                    chords = tuple(sorted((a, b, c)))
+                    starts = tuple(sorted((i, j, k)))
                     sites.append(
-                        MoveSite(
-                            _triangle_kind(graph, chords),  # type: ignore[arg-type]
-                            tuple(sorted((i, j, k))),
-                            chords,
-                        )
+                        MoveSite(_triangle_kind(w, starts), starts, tuple(sorted((a, b, c))))
                     )
     sites.sort(key=lambda site: site.positions)
     return sites
@@ -290,9 +282,7 @@ def _apply(w: Word, site: MoveSite) -> Tuple[Word, Word]:
         involved = frozenset(w[p] for p in seen_positions)
         if involved != frozenset(site.chords) or len(involved) != 3:
             raise MoveError("site chords do not match the word")
-        actual_kind = _triangle_kind(
-            _chord_graph(w), tuple(sorted(involved))  # type: ignore[arg-type]
-        )
+        actual_kind = _triangle_kind(w, site.positions)
         if actual_kind != site.kind:
             raise MoveError(
                 f"site is {actual_kind.value} on this word, not {site.kind.value}"
@@ -307,7 +297,7 @@ def _apply(w: Word, site: MoveSite) -> Tuple[Word, Word]:
         raise MoveError(
             f"{site.kind.value} changed the cross chord count by {change}"
         )
-    if not _realizable_by_shape(shape) and _realizable_by_shape(_canonical_cached(w)):
+    if _realize_cached(shape) is None and _realize_cached(_canonical_cached(w)) is not None:
         raise MoveError(
             f"{site.describe()} broke realizability on {' '.join(w)}"
         )

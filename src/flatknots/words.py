@@ -257,11 +257,10 @@ def prime_decompose(word: Sequence[str]) -> Tuple[Word, ...]:
     """Canonical prime factors, sorted by (size, word); () for the empty word."""
     w = tuple(word)
     validate_word(w)
-    return _prime_decompose_cached(w)
+    return _prime_factors(w)
 
 
-@lru_cache(maxsize=65536)
-def _prime_decompose_cached(w: Word) -> Tuple[Word, ...]:
+def _prime_factors(w: Word) -> Tuple[Word, ...]:
     if not w:
         return ()
     found = _self_contained_interval(w)
@@ -271,7 +270,7 @@ def _prime_decompose_cached(w: Word) -> Tuple[Word, ...]:
     total = len(w)
     inside = tuple(w[(start + k) % total] for k in range(length))
     outside = tuple(w[(start + length + k) % total] for k in range(total - length))
-    factors = _prime_decompose_cached(rank_word(inside)) + _prime_decompose_cached(rank_word(outside))
+    factors = _prime_factors(rank_word(inside)) + _prime_factors(rank_word(outside))
     return tuple(sorted(factors, key=lambda f: (len(f), f)))
 
 

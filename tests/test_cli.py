@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ TREFOIL_TEXT = "a b c a b c"
 TREFOIL_WORD = tuple(TREFOIL_TEXT.split())
 FIGURE8_TEXT = "a b c a d c b d"
 NONREALIZABLE_TEXT = "a b c d a b c d"
+FROZEN_TABLE_JSON = Path(__file__).resolve().parent.parent / "perfbench" / "frozen" / "table.json"
 
 
 def run(capsys, *argv):
@@ -155,6 +157,12 @@ def test_table_json_frozen(capsys):
     keys = [(row["n"], row["word"]) for row in payload["rows"]]
     assert keys == sorted(keys)
     assert payload["one_triangle_edges"] == FROZEN_EDGES
+
+
+def test_table_json_matches_the_frozen_file_byte_for_byte(capsys):
+    code, out, _ = run(capsys, "table", "--json")
+    assert code == 0
+    assert out.encode("utf-8") == FROZEN_TABLE_JSON.read_bytes()
 
 
 VERIFY_STDOUT = {
