@@ -25,13 +25,15 @@ from .explore import (
     verify_path,
 )
 from .invariants import (
+    CURL_SHAPE,
+    TREFOIL_SHAPE,
     cross_chord_number,
     h_invariant,
     r1_normal_form,
     trivializing_number,
 )
 from .knots import determinant, jones_normalized, positive_resolution
-from .moves import MOVE_LAWS, MoveKind, apply_move, find_sites, move_set
+from .moves import MOVE_LAWS, MoveKind, move_set, neighbors
 from .words import Word, canonical, chord_count, connected_sum, format_word, label_for_rank
 
 
@@ -62,8 +64,8 @@ def _one_triangle_images(word: Word, max_chords: int) -> frozenset:
         MoveKind.WEAK_SLIDE,
     )
     for staged in _orbit_under_curls(word, max_chords):
-        for site in find_sites(staged, triangle_kinds):
-            images.add(r1_normal_form(apply_move(staged, site)))
+        for _, after in neighbors(staged, triangle_kinds):
+            images.add(r1_normal_form(after))
     return frozenset(images)
 
 
@@ -132,16 +134,16 @@ def _suite_parity(run: SuiteRun, max_n: int = 6) -> None:
 
 
 def _check_deltas_on(word: Word, failures: List[str]) -> int:
-    sites = find_sites(word, tuple(MoveKind))
-    for site in sites:
-        dx, dtr, dh = move_deltas(word, apply_move(word, site))
+    applied = neighbors(word, tuple(MoveKind))
+    for site, after in applied:
+        dx, dtr, dh = move_deltas(word, after)
         law = MOVE_LAWS[site.kind]
         if dx not in law.dx or dtr not in law.dtr or (law.keeps_h and dh != 0):
             failures.append(
                 f"{format_word(word)} via {site.describe()} -> "
                 f"dX={dx} dtr={dtr} dH={dh}"
             )
-    return len(sites)
+    return len(applied)
 
 
 def _suite_deltas(run: SuiteRun, max_n: int = 6, seed: int = 20260819) -> None:
@@ -217,15 +219,15 @@ def _suite_twist(run: SuiteRun) -> None:
 
 def _strong_trivial_targets(cap: int) -> frozenset:
     """Canonical sums of at most two trefoils and one curl within ``cap``."""
-    trefoil = ("a", "b", "c", "a", "b", "c")
-    sums = [(), trefoil] + [
-        connected_sum(trefoil, trefoil, slot=slot) for slot in range(len(trefoil))
+    sums = [(), TREFOIL_SHAPE] + [
+        connected_sum(TREFOIL_SHAPE, TREFOIL_SHAPE, slot=slot)
+        for slot in range(len(TREFOIL_SHAPE))
     ]
     expanded = set()
     for word in sums:
         expanded.add(canonical(word))
         for slot in range(max(1, len(word))):
-            expanded.add(canonical(connected_sum(word, ("a", "a"), slot=slot)))
+            expanded.add(canonical(connected_sum(word, CURL_SHAPE, slot=slot)))
     return frozenset(w for w in expanded if chord_count(w) <= cap)
 
 

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 from .embedding import is_realizable
 from .explore import enumerate_realizable
 from .invariants import reduce_r1
-from .words import Word, WordError, canonical, is_prime, parse_word
+from .words import Word, WordError, is_prime, parse_word
 
 BUNDLED_CORPUS = "projections_upto7.txt"
 
@@ -98,5 +98,5 @@ def reduced_prime_census(n: int) -> Tuple[Word, ...]:
     return tuple(
         w
         for w in enumerate_realizable(n)
-        if reduce_r1(w) == canonical(w) and is_prime(w)
+        if reduce_r1(w) == w and is_prime(w)
     )

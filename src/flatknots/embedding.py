@@ -234,9 +234,7 @@ def realize(word: Sequence[str]) -> Embedding:
 
 
 def is_realizable(word: Sequence[str]) -> bool:
-    w = tuple(word)
-    validate_word(w)
-    return _realize_cached(canonical(w)) is not None
+    return _realize_cached(canonical(word)) is not None
 
 
 def faces(word: Sequence[str]) -> FaceInventory:

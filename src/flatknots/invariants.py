@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Tuple
 
-from .embedding import is_realizable
+from .embedding import _realize_cached
 from .words import (
     Word,
+    _canonical_cached,
     _partners,
-    canonical,
     chord_count,
     interlacement_masks,
     prime_decompose,
@@ -137,7 +137,7 @@ def r1_normal_form(word: Sequence[str]) -> Word:
     Two words are connected by curl moves alone exactly when their
     normal forms coincide.
     """
-    return canonical(reduce_r1(word))
+    return _canonical_cached(reduce_r1(word))
 
 
 def trefoil_summand_count(word: Sequence[str]) -> int:
@@ -165,7 +165,7 @@ def invariant_report(word: Sequence[str]) -> InvariantReport:
     masks = interlacement_masks(w)
     x = _pair_count(masks)
     tr = _trivializing(w)
-    realizable = is_realizable(w)
+    realizable = _realize_cached(_canonical_cached(w)) is not None
     if realizable and tr % 2 != 0:
         raise RuntimeError(
             f"trivializing number {tr} is odd for the realizable word "

@@ -91,7 +91,6 @@ def resolve(word: Sequence[str], over_first: Sequence[bool]) -> Diagram:
 def positive_resolution(word: Sequence[str]) -> Diagram:
     """The resolution in which every crossing is positive."""
     w = tuple(word)
-    validate_word(w)
     bits = realize(w).bits
     return Diagram(word=w, bits=bits, over_first=tuple(b == 0 for b in bits))
 
@@ -105,7 +104,6 @@ def alternating_diagram(word: Sequence[str]) -> Diagram:
     alternates over and under along the whole traversal.
     """
     w = tuple(word)
-    validate_word(w)
     bits = realize(w).bits
     pos = positions(w)
     marks = []

@@ -10,9 +10,15 @@ coherently oriented triangle (0 or 3 internal interleavings) and by +1
 or -1 otherwise.  The first kind preserves both the residue of the
 cross chord count mod 3 and the clique union flag; the second kind
 preserves the trivializing number.  ``MOVE_LAWS`` states these laws
-once for every move kind; ``apply_move`` enforces its change in X and
-the keeping of realizability, and the ``deltas`` suite of
+once for every move kind, and the ``deltas`` suite of
 ``flatknots.checks`` checks the whole table.
+
+``find_sites`` is the one statement of where a move applies.
+``apply_move`` accepts exactly the sites ``find_sites`` reports, then
+enforces the change in X that ``MOVE_LAWS`` allows and the keeping of
+realizability.  Callers that apply sites they have just found go
+through ``neighbors`` or ``_apply``, which skip the site lookup but not
+the laws.
 
 Words are validated once, at the public entry points.  An applied move
 canonicalizes its result once and checks both laws on that shape
@@ -32,6 +38,7 @@ from .words import (
     Word,
     _canonical_cached,
     all_slots,
+    format_word,
     fresh_label,
     interlacement_masks,
     validate_word,
@@ -45,26 +52,10 @@ class MoveError(ValueError):
 class MoveKind(enum.Enum):
     CURL_ADD = "curl-add"
     CURL_DELETE = "curl-delete"
-    STRONG_EXPAND = "strong-expand"
     STRONG_CONTRACT = "strong-contract"
+    STRONG_EXPAND = "strong-expand"
     WEAK_SLIDE = "weak-slide"
 
-    @property
-    def is_triangle(self) -> bool:
-        return self in (
-            MoveKind.STRONG_EXPAND,
-            MoveKind.STRONG_CONTRACT,
-            MoveKind.WEAK_SLIDE,
-        )
-
-
-_KIND_ORDER = {
-    MoveKind.CURL_ADD: 0,
-    MoveKind.CURL_DELETE: 1,
-    MoveKind.STRONG_CONTRACT: 2,
-    MoveKind.STRONG_EXPAND: 3,
-    MoveKind.WEAK_SLIDE: 4,
-}
 
 MOVE_SETS = {
     "r1": frozenset({MoveKind.CURL_ADD, MoveKind.CURL_DELETE}),
@@ -109,7 +100,7 @@ MOVE_LAWS = {
 }
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class MoveSite:
     """A place where one move applies.
 
@@ -127,12 +118,6 @@ class MoveSite:
         spots = ",".join(str(p) for p in self.positions)
         names = " ".join(self.chords) if self.chords else "-"
         return f"{self.kind.value} at [{spots}] on {names}"
-
-
-# dataclass(order=True) would compare MoveKind members, which are not
-# orderable; sort sites with this key instead.
-def site_sort_key(site: MoveSite) -> Tuple[int, Tuple[int, ...]]:
-    return (_KIND_ORDER[site.kind], site.positions)
 
 
 def _curl_add_sites(w: Word) -> List[MoveSite]:
@@ -212,84 +197,62 @@ def _triangle_sites(w: Word) -> List[MoveSite]:
 
 
 def find_sites(word: Sequence[str], kinds: Iterable[MoveKind]) -> List[MoveSite]:
-    """Every site of the requested kinds, deterministically ordered."""
+    """Every site of the requested kinds: the one statement of where a move applies.
+
+    Sites are ordered by kind, in the order ``MoveKind`` declares them,
+    then by position.
+    """
     w = tuple(word)
     validate_word(w)
     wanted = frozenset(kinds)
-    sites: List[MoveSite] = []
+    found: Dict[MoveKind, List[MoveSite]] = {kind: [] for kind in MoveKind}
     if MoveKind.CURL_ADD in wanted:
-        sites.extend(_curl_add_sites(w))
+        found[MoveKind.CURL_ADD] = _curl_add_sites(w)
     if MoveKind.CURL_DELETE in wanted:
-        sites.extend(_curl_delete_sites(w))
-    if wanted & {MoveKind.STRONG_EXPAND, MoveKind.STRONG_CONTRACT, MoveKind.WEAK_SLIDE}:
-        sites.extend(site for site in _triangle_sites(w) if site.kind in wanted)
-    return sorted(sites, key=site_sort_key)
+        found[MoveKind.CURL_DELETE] = _curl_delete_sites(w)
+    if wanted - {MoveKind.CURL_ADD, MoveKind.CURL_DELETE}:
+        for site in _triangle_sites(w):
+            found[site.kind].append(site)
+    # Each finder lists its sites by position.
+    return [site for kind in MoveKind if kind in wanted for site in found[kind]]
 
 
 def apply_move(word: Sequence[str], site: MoveSite) -> Word:
     """Apply one move and enforce its laws.
 
-    The cross chord change must be one that ``MOVE_LAWS`` allows for
-    the move kind, and a realizable word must stay realizable;
-    violations raise MoveError.
+    The site must be one that ``find_sites`` reports for the word;
+    otherwise MoveError.  The move must then change the cross chord
+    count as ``MOVE_LAWS`` allows for its kind, and a realizable word
+    must stay realizable; a violation raises MoveError.
     """
     w = tuple(word)
     validate_word(w)
+    if site not in find_sites(w, (site.kind,)):
+        raise MoveError(f"{site.describe()} is not a site of {format_word(w)}")
     return _apply(w, site)[0]
 
 
 def _apply(w: Word, site: MoveSite) -> Tuple[Word, Word]:
-    """``apply_move`` on a validated word; returns the result and its shape.
+    """Apply a site that ``find_sites`` reported for ``w``; returns the result and its shape.
 
-    The result is canonicalized once, and both laws are checked on that
-    shape through shape-keyed caches, so a move that reaches a known
-    class costs one canonical form.
+    The site is not checked again.  Both laws are, on every move: the
+    result is canonicalized once, and the X law and the keeping of
+    realizability are checked on that shape through shape-keyed caches,
+    so a move that reaches a known class costs one canonical form.
     """
-    total = len(w)
-
     if site.kind == MoveKind.CURL_ADD:
         (slot,) = site.positions
-        if slot not in all_slots(w):
-            raise MoveError(f"slot {slot} out of range")
         label = fresh_label(w)
         result = w[:slot] + (label, label) + w[slot:]
     elif site.kind == MoveKind.CURL_DELETE:
         (i,) = site.positions
-        if total == 0 or w[i] != w[(i + 1) % total]:
-            raise MoveError(f"no adjacent equal pair at position {i}")
-        if i + 1 < total:
-            result = w[:i] + w[i + 2 :]
-        else:
-            result = w[1:i]
-    elif site.kind.is_triangle:
-        if len(site.positions) != 3 or total < 6:
-            raise MoveError("triangle sites need three factors")
-        if any(not 0 <= p < total for p in site.positions):
-            raise MoveError(f"factor positions {site.positions} out of range")
-        result_list = list(w)
-        seen_positions: set = set()
+        result = w[:i] + w[i + 2 :] if i + 1 < len(w) else w[1:i]
+    else:
+        swapped = list(w)
         for start in site.positions:
-            nxt = (start + 1) % total
-            if start in seen_positions or nxt in seen_positions:
-                raise MoveError("triangle factors overlap")
-            seen_positions.update((start, nxt))
-            result_list[start], result_list[nxt] = w[nxt], w[start]
-        pairs = {
-            frozenset((w[s], w[(s + 1) % total])) for s in site.positions
-        }
-        if len(pairs) != 3 or any(len(p) != 2 for p in pairs):
-            raise MoveError("factors are not three distinct two chord sides")
-        involved = frozenset(w[p] for p in seen_positions)
-        if involved != frozenset(site.chords) or len(involved) != 3:
-            raise MoveError("site chords do not match the word")
-        actual_kind = _triangle_kind(w, site.positions)
-        if actual_kind != site.kind:
-            raise MoveError(
-                f"site is {actual_kind.value} on this word, not {site.kind.value}"
-            )
-        result = tuple(result_list)
-    else:  # pragma: no cover - enum is closed
-        raise MoveError(f"unknown move kind {site.kind}")
+            nxt = (start + 1) % len(w)
+            swapped[start], swapped[nxt] = w[nxt], w[start]
+        result = tuple(swapped)
 
     shape = _canonical_cached(result)
     change = _cross_count(shape) - _cross_count(w)

@@ -265,7 +265,7 @@ def _prime_factors(w: Word) -> Tuple[Word, ...]:
         return ()
     found = _self_contained_interval(w)
     if found is None:
-        return (canonical(w),)
+        return (_canonical_cached(w),)
     start, length = found
     total = len(w)
     inside = tuple(w[(start + k) % total] for k in range(length))

@@ -30,6 +30,7 @@ from flatknots.moves import (
     MOVE_SETS,
     MoveError,
     MoveKind,
+    MoveSite,
     apply_move,
     move_set,
     neighbors,
@@ -258,6 +259,9 @@ def test_verify_path_rejects_tampering():
     assert not verify_path(broken)
     short = WitnessPath(words=path.words[:1], moves=path.moves)
     assert not verify_path(short)
+    missing_chord = MoveSite(MoveKind.CURL_DELETE, (0,), ("zz",))
+    with pytest.raises(MoveError, match="is not a site"):
+        verify_path(WitnessPath(words=(CURL, ()), moves=(missing_chord,)))
 
 
 def test_enumerate_words_counts():
@@ -322,6 +326,18 @@ def test_strong_class_rejects_inadmissible_bases():
         strong_class_test(TREFOIL, TREFOIL)
     with pytest.raises(ValueError, match="monogon"):
         strong_class_test(CURL, CURL)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="strong_class_test rejects T(3) against the base T(2), yet the "
+    "strong search joins them by a two-move path that verify_path replays",
+)
+def test_strong_class_test_agrees_with_the_strong_search():
+    base, word = twist_family(2), twist_family(3)
+    found = equivalence_query(base, word, moves_name="strong")
+    joined = found.path is not None and verify_path(found.path)
+    assert strong_class_test(word, base) == joined
 
 
 def test_twist_family_small_members_are_familiar_shadows():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -147,22 +148,70 @@ def test_triangle_swap_is_involutive():
 
 
 def test_apply_rejects_bad_sites():
-    with pytest.raises(MoveError, match="out of range"):
+    with pytest.raises(MoveError, match="is not a site"):
         apply_move(TREFOIL, MoveSite(MoveKind.CURL_ADD, (7,), ()))
-    with pytest.raises(MoveError, match="no adjacent equal pair"):
+    with pytest.raises(MoveError, match="is not a site"):
         apply_move(TREFOIL, MoveSite(MoveKind.CURL_DELETE, (0,), ("a",)))
-    with pytest.raises(MoveError, match="overlap"):
+    with pytest.raises(MoveError, match="is not a site"):
         apply_move(
             TREFOIL,
             MoveSite(MoveKind.STRONG_CONTRACT, (0, 1, 3), ("a", "b", "c")),
         )
-    with pytest.raises(MoveError, match="not weak-slide"):
+    with pytest.raises(MoveError, match="is not a site"):
         apply_move(
             TREFOIL,
             MoveSite(MoveKind.WEAK_SLIDE, (0, 2, 4), ("a", "b", "c")),
         )
-    with pytest.raises(MoveError, match="three factors"):
+    with pytest.raises(MoveError, match="is not a site"):
         apply_move(CURL, MoveSite(MoveKind.WEAK_SLIDE, (0,), ("a",)))
+
+
+def _assert_accepted_exactly_when(word, site, rule_holds):
+    if rule_holds:
+        apply_move(word, site)
+    else:
+        with pytest.raises(MoveError, match="is not a site"):
+            apply_move(word, site)
+
+
+def _assert_site_rule(word):
+    """A curl-add needs a slot in range and no chords, a curl-delete an
+    adjacent equal pair and its chord, and a triangle an oracle site
+    with the kind its internal interleavings give."""
+    total = len(word)
+    wrong = ("zz",)
+    for slot in range(-1, total + 1):
+        in_range = 0 <= slot < max(1, total)
+        _assert_accepted_exactly_when(word, MoveSite(MoveKind.CURL_ADD, (slot,), ()), in_range)
+        _assert_accepted_exactly_when(word, MoveSite(MoveKind.CURL_ADD, (slot,), wrong), False)
+    for i in range(total):
+        adjacent = word[i] == word[(i + 1) % total]
+        _assert_accepted_exactly_when(
+            word, MoveSite(MoveKind.CURL_DELETE, (i,), (word[i],)), adjacent
+        )
+        _assert_accepted_exactly_when(word, MoveSite(MoveKind.CURL_DELETE, (i,), wrong), False)
+    sites = {
+        (positions, chords, _KIND_BY_INTERNAL[internal])
+        for positions, chords, internal in oracles.triangle_sites(word)
+    }
+    for triple in itertools.combinations(range(total), 3):
+        chords = tuple(sorted({word[(p + d) % total] for p in triple for d in (0, 1)}))
+        for kind in (MoveKind.STRONG_CONTRACT, MoveKind.STRONG_EXPAND, MoveKind.WEAK_SLIDE):
+            _assert_accepted_exactly_when(
+                word, MoveSite(kind, triple, chords), (triple, chords, kind) in sites
+            )
+
+
+def test_apply_move_accepts_exactly_the_oracle_sites():
+    for n in range(5):
+        for word in oracles.enumerate_matchings(n):
+            _assert_site_rule(word)
+    rng = random.Random(20261019)
+    for _ in range(12):
+        n = rng.randint(5, 7)
+        word = [chr(ord("a") + i) for i in range(n) for _ in (0, 1)]
+        rng.shuffle(word)
+        _assert_site_rule(tuple(word))
 
 
 def test_move_set_names():
@@ -254,7 +303,7 @@ def test_no_site_breaks_a_law_small_words():
 def test_neighbors_propagates_a_broken_law(monkeypatch):
     bogus = MoveSite(MoveKind.CURL_DELETE, (0,), ("a",))
     monkeypatch.setattr(moves, "find_sites", lambda word, kinds: [bogus])
-    with pytest.raises(MoveError, match="no adjacent equal pair"):
+    with pytest.raises(MoveError, match="changed the cross chord count"):
         neighbors(TREFOIL, {MoveKind.CURL_DELETE})
 
 
