@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Tuple
 
-from .embedding import is_realizable
-from .explore import enumerate_realizable
+from .embedding import _realize_cached, is_realizable
+from .explore import _GAUSS_PRIME, _orderly
 from .invariants import reduce_r1
 from .words import Word, WordError, is_prime, parse_word
 
@@ -94,9 +94,20 @@ def corpus_entry(name: str, entries: Optional[Tuple[CorpusEntry, ...]] = None) -
 
 
 def reduced_prime_census(n: int) -> Tuple[Word, ...]:
-    """All canonical realizable words with n chords that are reduced and prime."""
+    """All canonical realizable words with n chords that are reduced and prime.
+
+    The orderly generator of ``explore.enumerate_words`` closes chords
+    under Gauss parity and the pair condition (Rosenstiehl 1976; de
+    Fraysseix and Ossona de Mendez 1999), as for
+    ``enumerate_realizable``, and under the closed block rule: a proper
+    block closed under partners is a summand or a curl, so no completion
+    is reduced and prime.  Each rule drops whole classes, and a composite class is
+    caught in its canonical word too, because a closed block that wraps
+    has a closed complement that does not.  The leaves keep the
+    realization certificate and the reduced and prime tests.
+    """
     return tuple(
         w
-        for w in enumerate_realizable(n)
-        if reduce_r1(w) == w and is_prime(w)
+        for w in _orderly(n, _GAUSS_PRIME)
+        if _realize_cached(w) is not None and reduce_r1(w) == w and is_prime(w)
     )

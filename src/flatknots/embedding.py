@@ -13,8 +13,10 @@ The bits are read off the interlacement graph, where N(x) is the set of
 chords interleaved with chord x (Rosenstiehl 1976; de Fraysseix and
 Ossona de Mendez, "On a characterization of Gauss codes", Discrete
 Comput. Geom. 22, 1999).  Every chord of a sphere curve has even degree,
-and for interleaved chords a before c in first occurrence order, with
-passages at p1 < q1 < p2 < q2, every realization satisfies the pair rule
+two chords that do not interleave share an even number of neighbours
+(both are checked by ``_breaks_gauss``), and for interleaved chords a
+before c in first occurrence order, with passages at p1 < q1 < p2 < q2,
+every realization satisfies the pair rule
 
     bit_a XOR bit_c = (|N(a) & N(c)| + q1 - p1 - 1) mod 2.
 
@@ -178,10 +180,31 @@ def _dart_position(d: int, total: int) -> int:
     return (d // 2 + 1) % total
 
 
+def _breaks_gauss(mask: int, masks: Sequence[int], others: int) -> bool:
+    """True when a chord breaks Gauss parity or the non-interleaved pair condition.
+
+    ``mask`` is the chord's neighbour set N(c) and ``masks[a]`` that of
+    chord a.  Gauss parity: |N(c)| is odd.  Pair condition: some chord a
+    in the bitset ``others`` does not interleave c and |N(a) & N(c)| is
+    odd.  Either makes the word unrealizable (Rosenstiehl 1976; de
+    Fraysseix and Ossona de Mendez 1999).  With ``others`` empty only
+    parity is tested, in constant time.
+    """
+    if mask.bit_count() & 1:
+        return True
+    rest = others & ~mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if (masks[low.bit_length() - 1] & mask).bit_count() & 1:
+            return True
+    return False
+
+
 def _propagated_bits(w: Word) -> "Tuple[int, ...] | None":
     """The least bits that the pair rule allows, or None if it allows none."""
     nbrs = interlacement_masks(w)
-    if any(mask.bit_count() % 2 for mask in nbrs):
+    if any(_breaks_gauss(mask, nbrs, 0) for mask in nbrs):
         return None
     pos = positions(w)
     firsts = [pos[label][0] for label in letters(w)]

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .embedding import _realize_cached, faces
+from .embedding import _breaks_gauss, _realize_cached, faces
 from .invariants import (
     CURL_SHAPE,
     TREFOIL_SHAPE,
@@ -25,7 +25,7 @@ from .invariants import (
     r1_normal_form,
     trivializing_number,
 )
-from .moves import MOVE_LAWS, MoveKind, MoveSite, _apply, apply_move, find_sites, move_set
+from .moves import MOVE_LAWS, MoveKind, MoveSite, _apply, find_sites, move_set
 from .words import (
     Word,
     _below,
@@ -57,11 +57,20 @@ class WitnessPath:
 
 
 def verify_path(path: WitnessPath) -> bool:
-    """Replay every move; words are compared as projections."""
+    """Replay every move; words are compared as projections.
+
+    False whenever the path does not replay: the word and move counts do
+    not match, a move is not a site of its word, or it lands on another
+    projection.  A replayed move that breaks a law of ``MOVE_LAWS`` is a
+    defect of the library, not of the path, and still raises MoveError.
+    """
     if len(path.words) != len(path.moves) + 1:
         return False
     for i, site in enumerate(path.moves):
-        if canonical(apply_move(path.words[i], site)) != canonical(path.words[i + 1]):
+        word = tuple(path.words[i])
+        if site not in find_sites(word, (site.kind,)):
+            return False
+        if _apply(word, site)[1] != canonical(path.words[i + 1]):
             return False
     return True
 
@@ -249,34 +258,103 @@ def enumerate_words(n: int) -> Tuple[Word, ...]:
     every completion would then have a smaller rotation or reversal.  A
     finished word is accepted only when none of its 4n views falls below
     it, which makes it the least rank sequence of its class.
+
+    Here a chord may close at any gap.  ``enumerate_realizable`` and
+    ``corpus.reduced_prime_census`` run the same generator under
+    stricter closing rules, each checked when a chord closes: Gauss
+    parity (the chord closes an odd distance after it opened, so it has
+    even degree), the pair condition (it shares an even number of
+    neighbours with every closed chord it does not interleave;
+    Rosenstiehl, C. R. Acad. Sci. Paris 283, 1976; de Fraysseix and
+    Ossona de Mendez, "On a characterization of Gauss codes", Discrete
+    Comput. Geom. 22, 1999) and the closed block rule (it ends no proper
+    block closed under partners).  Each rule holds for a whole class or
+    for none of it, and is final once the chords it names are closed,
+    so a pruned prefix has no completion that those callers keep.
     """
+    return _orderly(n, _ANY_GAP)
+
+
+def enumerate_realizable(n: int) -> Tuple[Word, ...]:
+    """The realizable words of ``enumerate_words(n)``, in the same order.
+
+    The generator closes chords under Gauss parity and the pair
+    condition (see ``enumerate_words``; Rosenstiehl 1976; de Fraysseix
+    and Ossona de Mendez 1999).  Both are necessary for realizability
+    and read only the interlacement graph, so they drop whole
+    unrealizable classes and never a realizable one.  A closing chord's
+    neighbours are the chords met once since it opened, so its degree
+    and its common neighbours with closed chords are final.
+    ``_realize_cached`` at the leaves stays the certificate.
+    """
+    # Enumerated words are canonical already, so the shape is checked as is.
+    return tuple(w for w in _orderly(n, _GAUSS) if _realize_cached(w) is not None)
+
+
+# Closing rules of the orderly generator, from the weakest: a chord may
+# close at any gap; only where Gauss parity and the pair condition hold;
+# only where, in addition, it ends no proper block closed under partners.
+_ANY_GAP, _GAUSS, _GAUSS_PRIME = range(3)
+
+
+def _orderly(n: int, rule: int) -> Tuple[Word, ...]:
+    """The orderly generator of ``enumerate_words`` under a closing rule."""
     if n < 0:
         raise ValueError("chord count must be nonnegative")
+    total = 2 * n
     found: List[Word] = []
     prefix: List[int] = []
+    # A parity bitset holds the chords met once so far.  parities[L] is
+    # that of w[:L], after[r] that just past the opening of chord r, and
+    # masks[r] the neighbour set of chord r once it is closed.
+    parities: List[int] = []
+    after = [0] * n
+    masks = [0] * n
 
-    def extend(next_rank: int, open_chords: FrozenSet[int]) -> None:
-        if len(prefix) == 2 * n:
+    def extend(next_rank: int, open_chords: FrozenSet[int], parity: int, closed: int) -> None:
+        here = len(prefix)
+        if here == total:
             if not any(_below(view, prefix) for view in _other_views(prefix)):
                 found.append(tuple(label_for_rank(r) for r in prefix))
             return
+        parities.append(parity)
         choices = sorted(open_chords) + ([next_rank] if next_rank < n else [])
         for rank in choices:
+            opening = rank == next_rank
+            if opening:
+                after[rank] = parity ^ (1 << rank)
+            elif rule != _ANY_GAP:
+                mask = parity ^ after[rank]
+                if _breaks_gauss(mask, masks, closed):
+                    continue
+                masks[rank] = mask
+                # A block w[s..here] is closed under partners when it
+                # holds every chord 0 or 2 times, that is when the
+                # parities before s and after here agree.  One ending at
+                # the last position has a closed complement that ends
+                # earlier, and so does one that wraps.
+                if (
+                    rule == _GAUSS_PRIME
+                    and here < total - 1
+                    and parity ^ (1 << rank) in parities
+                ):
+                    continue
             prefix.append(rank)
             if not (
                 _below(prefix[::-1], prefix)
                 or any(_below(prefix[s:], prefix) for s in range(1, len(prefix)))
             ):
-                extend(next_rank + (rank == next_rank), open_chords ^ {rank})
+                extend(
+                    next_rank + opening,
+                    open_chords ^ {rank},
+                    parity ^ (1 << rank),
+                    closed if opening else closed | (1 << rank),
+                )
             prefix.pop()
+        parities.pop()
 
-    extend(0, frozenset())
+    extend(0, frozenset(), 0, 0)
     return tuple(found)
-
-
-def enumerate_realizable(n: int) -> Tuple[Word, ...]:
-    # Enumerated words are canonical already, so the shape is checked as is.
-    return tuple(w for w in enumerate_words(n) if _realize_cached(w) is not None)
 
 
 def strong_trivial_test(word: Sequence[str]) -> bool:

@@ -37,6 +37,7 @@ from flatknots import (
     load_corpus,
     positive_resolution,
     realize,
+    reduced_prime_census,
     search_class,
     strong_trivial_test,
     trefoil_summand_count,
@@ -275,6 +276,27 @@ def test_criterion_5_strong_trivial_class(strong_reachable):
     )
 
 
+def test_criterion_5_strong_trivial_class_both_directions():
+    # For every chord cap, the strong closure of the empty word is
+    # exactly the realizable words within the cap that pass the test.
+    for cap in range(9):
+        reached = search_class(
+            (), STRONG_MOVES, SearchConfig(max_chords=cap, max_states=10 ** 6)
+        )
+        passing = {
+            w
+            for k in range(cap + 1)
+            for w in enumerate_realizable(k)
+            if strong_trivial_test(w)
+        }
+        assert reached.words == passing, cap
+    _note(
+        "C5 PASS (both directions): for every cap n <= 8 the strong closure "
+        f"of the empty word is exactly the {len(passing)} realizable words "
+        "within the cap that pass strong_trivial_test"
+    )
+
+
 # ---------------------------------------------------------------- C6
 
 
@@ -385,4 +407,19 @@ def test_criterion_9_catalog_rows(realizable_upto6):
         f"laws over {checked_sites} sites, and match the brute force tr and "
         "clique union oracles; the twist rows carry tr = 2 with their "
         "frozen cross chord counts"
+    )
+
+
+# ---------------------------------------------------------------- C10
+
+
+def test_criterion_10_trivializing_two_is_the_twist_family():
+    # The paper's classification: among reduced prime projections with
+    # n chords, the twist member T(n - 2) is the only one with tr = 2.
+    for n in range(3, 11):
+        twos = [w for w in reduced_prime_census(n) if trivializing_number(w) == 2]
+        assert twos == [canonical(twist_family(n - 2))], n
+    _note(
+        "C10 PASS: for n = 3..10 the only reduced prime projection with "
+        "tr = 2 is the twist member T(n - 2)"
     )

@@ -10,6 +10,7 @@ from flatknots import (
     canonical,
     chord_count,
     corpus_entry,
+    enumerate_words,
     invariant_report,
     is_prime,
     is_realizable,
@@ -90,6 +91,18 @@ def test_census_counts_and_corpus_agreement(entries):
         assert len(census) == count
         named = {e.word for e in entries if e.name.startswith(str(n))}
         assert set(census) == named
+
+
+def test_census_equals_the_filtered_enumeration():
+    # The census prunes while it generates; it must keep exactly the
+    # classes that filtering every class keeps.
+    for n in range(8):
+        kept = tuple(
+            w
+            for w in enumerate_words(n)
+            if is_realizable(w) and reduce_r1(w) == w and is_prime(w)
+        )
+        assert reduced_prime_census(n) == kept, n
 
 
 def test_seven_chord_entries_are_pairwise_distinct(entries):

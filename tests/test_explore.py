@@ -260,8 +260,7 @@ def test_verify_path_rejects_tampering():
     short = WitnessPath(words=path.words[:1], moves=path.moves)
     assert not verify_path(short)
     missing_chord = MoveSite(MoveKind.CURL_DELETE, (0,), ("zz",))
-    with pytest.raises(MoveError, match="is not a site"):
-        verify_path(WitnessPath(words=(CURL, ()), moves=(missing_chord,)))
+    assert not verify_path(WitnessPath(words=(CURL, ()), moves=(missing_chord,)))
 
 
 def test_enumerate_words_counts():
@@ -292,7 +291,7 @@ def test_enumerate_realizable_counts():
     assert len(enumerate_realizable(3)) == 3
     assert len(enumerate_realizable(4)) == 5
     assert len(enumerate_realizable(5)) == 15
-    for n in range(7):
+    for n in range(8):
         kept = tuple(w for w in enumerate_words(n) if is_realizable(w))
         assert enumerate_realizable(n) == kept, n
 
