@@ -26,7 +26,7 @@ from .invariants import (
 )
 from .knots import determinant, jones_normalized, kauffman_bracket, positive_resolution
 from .laurent import laurent_format
-from .moves import MOVE_SETS, apply_move, find_sites, move_set
+from .moves import MOVE_SETS, _apply, find_sites, move_set
 from .words import (
     WordError,
     canonical,
@@ -186,7 +186,8 @@ def _cmd_moves(args: argparse.Namespace) -> int:
         )
         return EXIT_USAGE
     site = sites[args.site]
-    after = apply_move(word, site)
+    # The site comes from find_sites, so it is applied without a second search.
+    after, shape = _apply(word, site)
     deltas = dict(zip(("dX", "dtr", "dH"), move_deltas(word, after)))
     if args.json:
         _print_json(
@@ -195,7 +196,7 @@ def _cmd_moves(args: argparse.Namespace) -> int:
                 before=format_word(word),
                 site=site.describe(),
                 after=format_word(after),
-                canonical=format_word(canonical(after)),
+                canonical=format_word(shape),
             )
         )
     else:

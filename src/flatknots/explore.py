@@ -28,8 +28,9 @@ from .invariants import (
 from .moves import MOVE_LAWS, MoveKind, MoveSite, _apply, find_sites, move_set
 from .words import (
     Word,
-    _below,
-    _other_views,
+    _back_distances,
+    _least_views,
+    _prefix_ties,
     canonical,
     chord_count,
     label_for_rank,
@@ -254,10 +255,12 @@ def enumerate_words(n: int) -> Tuple[Word, ...]:
     equal the positions left and every prefix can be completed.
 
     A prefix ``w[:L]`` is pruned when a forward view ``w[s:L]`` or the
-    reversed view ``w[L-1::-1]`` falls below it (``words._below``):
-    every completion would then have a smaller rotation or reversal.  A
-    finished word is accepted only when none of its 4n views falls below
-    it, which makes it the least rank sequence of its class.
+    reversed view ``w[L-1::-1]`` falls below it: every completion would
+    then have a smaller rotation or reversal.  Views are compared by
+    back-distances, and the starts that still tie the prefix are carried
+    down, as stated in ``words.canonical``.  A finished word is accepted
+    only when it is among its least views (``words._least_views``),
+    which makes it the least rank sequence of its class.
 
     Here a chord may close at any gap.  ``enumerate_realizable`` and
     ``corpus.reduced_prime_census`` run the same generator under
@@ -298,12 +301,22 @@ _ANY_GAP, _GAUSS, _GAUSS_PRIME = range(3)
 
 
 def _orderly(n: int, rule: int) -> Tuple[Word, ...]:
-    """The orderly generator of ``enumerate_words`` under a closing rule."""
+    """The orderly generator of ``enumerate_words`` under a closing rule.
+
+    Its recursion carries the starts whose view still ties the prefix
+    (``live``), as stated in ``words.canonical``.
+    """
     if n < 0:
         raise ValueError("chord count must be nonnegative")
     total = 2 * n
     found: List[Word] = []
     prefix: List[int] = []
+    # dist[i] is the back-distance of position i inside the prefix (0
+    # while its chord is open), and rev[i] that of position i in the
+    # reversed prefix: the length of its chord once closed, at the
+    # position that opened it.
+    dist: List[int] = []
+    rev: List[int] = []
     # A parity bitset holds the chords met once so far.  parities[L] is
     # that of w[:L], after[r] that just past the opening of chord r, and
     # masks[r] the neighbour set of chord r once it is closed.
@@ -311,10 +324,12 @@ def _orderly(n: int, rule: int) -> Tuple[Word, ...]:
     after = [0] * n
     masks = [0] * n
 
-    def extend(next_rank: int, open_chords: FrozenSet[int], parity: int, closed: int) -> None:
+    def extend(
+        next_rank: int, open_chords: FrozenSet[int], parity: int, closed: int, live: Tuple[int, ...]
+    ) -> None:
         here = len(prefix)
         if here == total:
-            if not any(_below(view, prefix) for view in _other_views(prefix)):
+            if _least_views(_back_distances(prefix))[0] == 0:
                 found.append(tuple(label_for_rank(r) for r in prefix))
             return
         parities.append(parity)
@@ -339,21 +354,29 @@ def _orderly(n: int, rule: int) -> Tuple[Word, ...]:
                     and parity ^ (1 << rank) in parities
                 ):
                     continue
+            d = 0 if opening else here - prefix.index(rank)
             prefix.append(rank)
-            if not (
-                _below(prefix[::-1], prefix)
-                or any(_below(prefix[s:], prefix) for s in range(1, len(prefix)))
-            ):
+            dist.append(d)
+            rev.append(0)
+            rev[here - d] = d
+            ties = _prefix_ties(dist, rev, live)
+            if ties is not None:
+                if here:
+                    ties.append(here)
                 extend(
                     next_rank + opening,
                     open_chords ^ {rank},
                     parity ^ (1 << rank),
                     closed if opening else closed | (1 << rank),
+                    tuple(ties),
                 )
+            rev[here - d] = 0
+            rev.pop()
+            dist.pop()
             prefix.pop()
         parities.pop()
 
-    extend(0, frozenset(), 0, 0)
+    extend(0, frozenset(), 0, 0, ())
     return tuple(found)
 
 

@@ -10,7 +10,7 @@ word denotes the simple closed curve.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 Word = Tuple[str, ...]
 
@@ -130,40 +130,80 @@ def rank_sequence(seq: Sequence[str]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _below(view: Sequence, best: Sequence[int]) -> bool:
-    """True when the rank sequence of ``view`` falls below ``best``.
+def _back_distances(word: Sequence) -> List[int]:
+    """Entry p is (p - partner(p)) mod L, the cyclic back-distance of position p."""
+    length = len(word)
+    first: Dict[object, int] = {}
+    dist = [0] * length
+    for i, label in enumerate(word):
+        j = first.pop(label, None)
+        if j is None:
+            first[label] = i
+        else:
+            dist[i] = i - j
+            dist[j] = length - i + j
+    return dist
 
-    Only the first ``len(view)`` ranks are compared.  Labels are ranked
-    by first occurrence as they are read, and the comparison stops at
-    the first rank that differs, so a losing view costs a few steps.
+
+def _prefix_ties(dist: Sequence[int], rev: Sequence[int], live: Sequence[int]) -> "List[int] | None":
+    """The starts of ``live`` whose view still ties a prefix after its last entry.
+
+    ``dist`` holds the back-distances of the prefix (0 at an open chord)
+    and ``rev`` those of the reversed prefix, read backwards.  None when
+    a view falls below the prefix (see ``canonical``).
     """
-    seen: Dict[object, int] = {}
-    for label, target in zip(view, best):
-        rank = seen.get(label)
-        if rank is None:
-            rank = seen[label] = len(seen)
-        if rank != target:
-            return rank < target
-    return False
+    here = len(dist) - 1
+    d = dist[here]
+    ties = []
+    for s in live:
+        k = here - s
+        e = d if d <= k else 0
+        if e == dist[k]:
+            ties.append(s)
+        elif e > dist[k]:
+            return None
+    if rev[::-1] > dist:
+        return None
+    return ties
 
 
-def _other_views(word: Sequence) -> Iterator[Tuple]:
-    """Every rotation of the word and of its reverse, the word itself aside."""
-    w = tuple(word)
-    r = w[::-1]
-    for s in range(1, len(w)):
-        yield w[s:] + w[:s]
-    for s in range(len(r)):
-        yield r[s:] + r[:s]
+def _least_views(dist: Sequence[int]) -> List[int]:
+    """The views of least rank sequence (see ``canonical``), from ``_back_distances``.
+
+    View s is the rotation that starts at position s and view 2L + s
+    that of the reverse, so view 0 comes first.  Several views come back
+    only when their rank sequences are equal.
+    """
+    length = len(dist)
+    table = list(dist) * 2 + [length - d for d in reversed(dist)] * 2
+    # The empty word has the one view 0.
+    live = [*range(length), *range(2 * length, 3 * length)] or [0]
+    for k in range(1, length):
+        if len(live) == 1:
+            break
+        best = 0
+        ties = []
+        for t in live:
+            d = table[t + k]
+            if d > k:
+                d = 0
+            if d == best:
+                ties.append(t)
+            elif d > best:
+                best = d
+                ties = [t]
+        live = ties
+    return live
 
 
 @lru_cache(maxsize=65536)
 def _canonical_cached(word: Word) -> Word:
-    best = rank_sequence(word)
-    for view in _other_views(word):
-        if _below(view, best):
-            best = rank_sequence(view)
-    return tuple(label_for_rank(r) for r in best)
+    view = _least_views(_back_distances(word))[0]
+    if view < len(word):
+        return rank_word(word[view:] + word[:view])
+    s = view - 2 * len(word)
+    r = word[::-1]
+    return rank_word(r[s:] + r[:s])
 
 
 def canonical(word: Sequence[str]) -> Word:
@@ -171,10 +211,19 @@ def canonical(word: Sequence[str]) -> Word:
 
     The representative is the least rank sequence (``rank_sequence``)
     over the 4n rotations of the word and of its reverse, written with
-    standard labels.  It starts from the word's own rank sequence and
-    replaces it only by a view that ``_below`` finds smaller; that test
-    stops at the first differing rank instead of building all 4n rank
-    sequences.
+    standard labels.  Views are compared by back-distances: entry k of a
+    view is d when the partner of its k-th position sits d places
+    earlier in the view (d <= k), and 0 otherwise.  Where two views
+    first differ, closing an earlier opened chord gives the smaller rank
+    and the larger d, and an opening the largest rank and 0, so the
+    least rank sequence is the view with the lexicographically greatest
+    back-distances.  All 4n views start live; each step reads one entry
+    per live view and keeps those that reach the maximum, until one is
+    left (``_least_views``).  The orderly generator
+    (``explore.enumerate_words``) carries down its recursion the starts
+    whose view still ties the prefix and reads one new entry for each
+    per node: a start that reads less is above the prefix for good and
+    is dropped, one that reads more prunes the node (``_prefix_ties``).
     """
     w = tuple(word)
     validate_word(w)
@@ -221,11 +270,7 @@ def connected_sum(first: Sequence[str], second: Sequence[str], slot: int = 0) ->
 
 
 def _partners(word: Sequence[str]) -> list:
-    partner = [0] * len(word)
-    for p, q in positions(word).values():
-        partner[p] = q
-        partner[q] = p
-    return partner
+    return [(p - d) % len(word) for p, d in enumerate(_back_distances(word))]
 
 
 def _self_contained_interval(word: Word) -> "tuple[int, int] | None":

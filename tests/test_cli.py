@@ -303,6 +303,37 @@ def test_moves_apply_json(capsys):
     )
 
 
+def test_moves_apply_searches_the_sites_once(capsys, monkeypatch):
+    import flatknots.cli
+    import flatknots.moves
+
+    calls = []
+    found = flatknots.moves.find_sites
+
+    def counted(*args):
+        calls.append(args)
+        return found(*args)
+
+    monkeypatch.setattr(flatknots.cli, "find_sites", counted)
+    monkeypatch.setattr(flatknots.moves, "find_sites", counted)
+    code, out, _ = run(
+        capsys, "moves", "apply", TREFOIL_TEXT, "--moves", "strong", "--site", "6", "--json"
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert out == (
+        "{\n"
+        '  "after": "b a a c c b",\n'
+        '  "before": "a b c a b c",\n'
+        '  "canonical": "a a b b c c",\n'
+        '  "dH": 0,\n'
+        '  "dX": -3,\n'
+        '  "dtr": -2,\n'
+        '  "site": "strong-contract at [0,2,4] on a b c"\n'
+        "}\n"
+    )
+
+
 def test_moves_errors(capsys):
     code, _, err = run(capsys, "moves", "apply", TREFOIL_TEXT, "--site", "99")
     assert code == 2

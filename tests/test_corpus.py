@@ -105,6 +105,12 @@ def test_census_equals_the_filtered_enumeration():
         assert reduced_prime_census(n) == kept, n
 
 
+def test_census_sizes_at_eight_and_nine():
+    # Equal to the filtered unpruned enumeration in a one-off run.
+    assert len(reduced_prime_census(8)) == 27
+    assert len(reduced_prime_census(9)) == 101
+
+
 def test_seven_chord_entries_are_pairwise_distinct(entries):
     sevens = [e.word for e in entries if e.name.startswith("7")]
     assert len(sevens) == 10

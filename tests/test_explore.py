@@ -296,6 +296,15 @@ def test_enumerate_realizable_counts():
         assert enumerate_realizable(n) == kept, n
 
 
+def test_enumerate_realizable_sizes_at_eight_and_nine():
+    # Both sizes equal those of filtering the unpruned enumeration, from
+    # a one-off run (enumerate_words(9) alone takes minutes).
+    eights = enumerate_realizable(8)
+    assert len(eights) == 750
+    assert all(canonical(w) == w for w in eights)
+    assert len(enumerate_realizable(9)) == 3891
+
+
 def test_enumerate_words_rejects_negative():
     with pytest.raises(ValueError):
         enumerate_words(-1)

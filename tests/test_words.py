@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 
 import oracles
 from sample_words import CURL, FIGURE8, TREFOIL
+from flatknots.explore import twist_family
 from flatknots.words import (
     WordError,
+    _back_distances,
+    _least_views,
     all_slots,
     canonical,
     chord_count,
@@ -129,6 +132,63 @@ def test_canonical_is_least_variant_and_invariant_on_random_words(case):
     assert canonical(word[shift:] + word[:shift]) == c
     assert canonical(word[::-1]) == c
     assert canonical(tuple(renames[label] for label in word)) == c
+
+
+def _torus(k):
+    labels = [label_for_rank(i) for i in range(k)]
+    return tuple(labels + labels)
+
+
+def _curl_chain(k):
+    return tuple(label_for_rank(i) for i in range(k) for _ in range(2))
+
+
+def _copies(prime, count):
+    word = ()
+    for _ in range(count):
+        word = connected_sum(word, prime, len(word))
+    return word
+
+
+FIVE_TWO = parse_word("a b c a d e b c e d")
+
+# Words with many symmetries, so that many views tie to the end of the
+# comparison: torus words (labels past z at k > 26), twist family
+# members, curl chains and sums of equal primes placed block after block.
+TIE_HEAVY = (
+    [_torus(k) for k in (1, 2, 3, 4, 7, 26, 27, 30)]
+    + [twist_family(n) for n in (1, 2, 3, 4, 9, 10)]
+    + [_curl_chain(k) for k in (1, 2, 3, 8, 27)]
+    + [_copies(prime, count) for prime in (TREFOIL, FIGURE8, FIVE_TWO) for count in (2, 3, 5)]
+)
+
+
+def _view_ranks(word):
+    views = []
+    for w in (word, word[::-1]):
+        views += [rank_sequence(w[s:] + w[:s]) for s in range(len(w))]
+    return views
+
+
+@pytest.mark.parametrize("word", TIE_HEAVY, ids=lambda w: format_word(w)[:24])
+def test_canonical_of_tie_heavy_words(word):
+    c = canonical(word)
+    assert rank_sequence(c) == min(oracles.all_canonical_variants(word))
+    reverse = word[::-1]
+    for s in range(len(word)):
+        assert canonical(word[s:] + word[:s]) == c
+        assert canonical(reverse[s:] + reverse[:s]) == c
+    renames = {label: f"q{i}" for i, label in enumerate(reversed(letters(word)))}
+    assert canonical(tuple(renames[label] for label in word)) == c
+    # The views left live are exactly those of least rank sequence.
+    views = _view_ranks(word)
+    assert len(_least_views(_back_distances(word))) == views.count(min(views))
+
+
+def test_canonical_of_torus_and_curl_words_past_z():
+    assert canonical(_torus(30)) == _torus(30)
+    assert canonical(_torus(30))[26:30] == ("x26", "x27", "x28", "x29")
+    assert canonical(_curl_chain(27)[::-1]) == _curl_chain(27)
 
 
 def test_fresh_label():
