@@ -3,10 +3,15 @@
 Classes under move sets that include curl insertion are infinite, so
 searches run inside a window: a chord count cap and a state cap.  A
 completed path certifies equivalence; exhausting the window certifies
-nothing, and the result says so.  Some move sets carry complete or
-partial invariants that decide inequivalence outright: the curl reduced
-normal form for curl moves alone, and the cross chord residue mod 3,
-the clique union flag and the trivializing number wherever
+nothing, and the result says so.  Equivalence queries search from both
+ends and stop where the two searches meet.  That joins the same words
+as a search from one end, because each move set holds the inverse of
+every move in it and the chord cap is the same from either end.  The
+path is a shortest one inside the window, and the state cap counts the
+states of both ends together.  Some move sets carry complete or partial
+invariants that decide inequivalence outright: the curl reduced normal
+form for curl moves alone, and the cross chord residue mod 3, the
+clique union flag and the trivializing number wherever
 ``moves.MOVE_LAWS`` keeps them for every move in the set.
 """
 
@@ -25,7 +30,7 @@ from .invariants import (
     r1_normal_form,
     trivializing_number,
 )
-from .moves import MOVE_LAWS, MoveKind, MoveSite, _apply, find_sites, move_set
+from .moves import MOVE_LAWS, MoveError, MoveKind, MoveSite, _apply, _moves_from, find_sites, move_set
 from .words import (
     Word,
     _back_distances,
@@ -33,6 +38,7 @@ from .words import (
     _prefix_ties,
     canonical,
     chord_count,
+    format_word,
     label_for_rank,
     prime_decompose,
 )
@@ -110,7 +116,6 @@ def search_class(
     word: Sequence[str],
     kinds: Sequence[MoveKind],
     config: SearchConfig = SearchConfig(),
-    stop_at: "Sequence[str] | None" = None,
 ) -> ClassSearchResult:
     """Breadth first closure of a word under the given moves, windowed.
 
@@ -118,26 +123,19 @@ def search_class(
     form, that of its result, on which its laws are checked.  Curl
     additions from a state at or above the chord cap always leave the
     window, so they are not applied; they only mark the result
-    truncated.  With ``stop_at`` the search returns as soon as that word
-    is reached.
+    truncated.
     """
     start = canonical(word)
-    goal = canonical(stop_at) if stop_at is not None else None
     kind_set = frozenset(kinds)
     visited = {start}
     parents: Dict[Word, Tuple[Word, MoveSite]] = {}
     queue = deque([start])
     truncated = chord_count(start) > config.max_chords
     while queue:
-        if goal is not None and goal in visited:
-            break
         current = queue.popleft()
-        wanted = kind_set
-        if chord_count(current) >= config.max_chords and MoveKind.CURL_ADD in kind_set:
-            wanted = kind_set - {MoveKind.CURL_ADD}
-            truncated = True
-        for site in find_sites(current, wanted):
-            result, shape = _apply(current, site)
+        wanted = _window_kinds(current, kind_set, config)
+        truncated = truncated or wanted != kind_set
+        for site, result, shape in _moves_from(current, wanted):
             if chord_count(result) > config.max_chords:
                 truncated = True
                 continue
@@ -157,6 +155,89 @@ def search_class(
         truncated=truncated,
         parents=parents,
     )
+
+
+def _window_kinds(word: Word, kinds: FrozenSet[MoveKind], config: SearchConfig) -> FrozenSet[MoveKind]:
+    """The kinds applied from ``word``: no curl addition from the chord cap or above."""
+    if chord_count(word) >= config.max_chords:
+        return kinds - {MoveKind.CURL_ADD}
+    return kinds
+
+
+# Each word one end of the two-ended search reached, with the word it
+# was reached from and the site applied there; None at the end itself.
+_Tree = Dict[Word, Optional[Tuple[Word, MoveSite]]]
+
+
+def _to_root(tree: _Tree, word: Word) -> List[Word]:
+    """``word``, its parent, and so on up to the end its tree grew from."""
+    chain = [word]
+    link = tree[word]
+    while link is not None:
+        chain.append(link[0])
+        link = tree[link[0]]
+    return chain
+
+
+def _two_ended_search(
+    a: Word, b: Word, kinds: FrozenSet[MoveKind], config: SearchConfig
+) -> Optional[WitnessPath]:
+    """A shortest path from ``a`` to ``b`` inside the window, or None.
+
+    Breadth first search from both ends (Pohl, "Bi-directional search",
+    Machine Intelligence 6, 1971), one whole level at a time on the side
+    whose frontier is smaller, with moves applied as in ``search_class``.
+    The first level that reaches the other side stops at the meeting
+    state of least total depth: until then each side holds every state
+    within its depth, so no shorter path exists.  None as soon as
+    either frontier is empty.
+    """
+    if a == b:
+        return WitnessPath((a,), ())
+    trees: Tuple[_Tree, _Tree] = ({a: None}, {b: None})
+    frontiers = [[a], [b]]
+    while frontiers[0] and frontiers[1]:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        own, other = trees[side], trees[1 - side]
+        level: List[Word] = []
+        meetings: List[Tuple[int, Word, Word, MoveSite]] = []
+        for current in frontiers[side]:
+            for site, result, shape in _moves_from(current, _window_kinds(current, kinds, config)):
+                if chord_count(result) > config.max_chords:
+                    continue
+                if shape in other:
+                    meetings.append((len(_to_root(other, shape)), shape, current, site))
+                elif shape not in own and len(own) + len(other) < config.max_states:
+                    own[shape] = (current, site)
+                    level.append(shape)
+        if meetings:
+            _, meeting, current, site = min(meetings, key=lambda m: m[0])
+            own[meeting] = (current, site)
+            return _join(trees, meeting, kinds)
+        frontiers[side] = level
+    return None
+
+
+def _join(trees: Tuple[_Tree, _Tree], meeting: Word, kinds: FrozenSet[MoveKind]) -> WitnessPath:
+    """The path from the end of ``trees[0]`` through ``meeting`` to that of ``trees[1]``.
+
+    The second tree's links point toward its end, so each of its steps
+    is read backwards: the site ``find_sites`` reports on the word whose
+    result has the shape of the word's parent.  Every move set holds its
+    inverses, so a missing site is a defect of the library.
+    """
+    words = _to_root(trees[0], meeting)[::-1]
+    moves = [trees[0][child][1] for child in words[1:]]
+    second = _to_root(trees[1], meeting)
+    for word, parent in zip(second, second[1:]):
+        site = next((s for s, _, shape in _moves_from(word, kinds) if shape == parent), None)
+        if site is None:
+            raise MoveError(
+                f"a move takes {format_word(parent)} to {format_word(word)}, but none takes it back"
+            )
+        moves.append(site)
+        words.append(parent)
+    return WitnessPath(tuple(words), tuple(moves))
 
 
 @dataclass(frozen=True)
@@ -194,6 +275,15 @@ def equivalence_query(
     Inequivalence verdicts come from invariants and are certain.
     Equivalence verdicts come with a replayable path.  "unknown" only
     reports that the window was exhausted.
+
+    The path is searched from both ends at once.  Every move set holds
+    the inverse of each of its moves (curl addition and deletion, strong
+    expansion and contraction, and the weak slide, which undoes itself),
+    and the chord cap is the same from either end, so the words each end
+    reaches inside the window are joined by the same moves read
+    backwards.  The path found is a shortest one inside the window, and
+    ``max_states`` bounds the states of both ends together.  Both ends
+    are searched from even when they lie above the chord cap.
     """
     a = canonical(first)
     b = canonical(second)
@@ -220,8 +310,7 @@ def equivalence_query(
                 if va != vb:
                     return EquivalenceResult("not-equivalent", reason.format(va, vb), None)
 
-    result = search_class(a, kinds, config, stop_at=b)
-    path = result.path_to(b)
+    path = _two_ended_search(a, b, kinds, config)
     if path is not None:
         return EquivalenceResult(
             "equivalent", f"path of {len(path)} moves found", path

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .embedding import _realize_cached
 from .invariants import _cross_count, _pair_count
@@ -232,17 +232,20 @@ def apply_move(word: Sequence[str], site: MoveSite) -> Word:
     return _apply(w, site)[0]
 
 
-def _apply(w: Word, site: MoveSite) -> Tuple[Word, Word]:
+def _apply(w: Word, site: MoveSite, label: Optional[str] = None) -> Tuple[Word, Word]:
     """Apply a site that ``find_sites`` reported for ``w``; returns the result and its shape.
 
     The site is not checked again.  Both laws are, on every move: the
     result is canonicalized once, and the X law and the keeping of
     realizability are checked on that shape through shape-keyed caches,
     so a move that reaches a known class costs one canonical form.
+    A curl addition inserts ``label``, which must be ``fresh_label(w)``;
+    it is computed here when not given.
     """
     if site.kind == MoveKind.CURL_ADD:
         (slot,) = site.positions
-        label = fresh_label(w)
+        if label is None:
+            label = fresh_label(w)
         result = w[:slot] + (label, label) + w[slot:]
     elif site.kind == MoveKind.CURL_DELETE:
         (i,) = site.positions
@@ -267,11 +270,21 @@ def _apply(w: Word, site: MoveSite) -> Tuple[Word, Word]:
     return result, shape
 
 
+def _moves_from(w: Word, kinds: FrozenSet[MoveKind]) -> Iterator[Tuple[MoveSite, Word, Word]]:
+    """(site, result, shape) for every site that ``find_sites`` reports on ``w``.
+
+    Every curl addition of ``w`` inserts the same fresh label, so it is
+    named once per word.
+    """
+    label = fresh_label(w) if MoveKind.CURL_ADD in kinds else None
+    for site in find_sites(w, kinds):
+        yield (site, *_apply(w, site, label))
+
+
 def neighbors(word: Sequence[str], kinds: Iterable[MoveKind]) -> List[Tuple[MoveSite, Word]]:
     """(site, result) for every site that ``find_sites`` reports.
 
     A site found here that breaks a law is a defect, so its MoveError
     propagates instead of being skipped.
     """
-    w = tuple(word)
-    return [(site, _apply(w, site)[0]) for site in find_sites(w, kinds)]
+    return [(site, result) for site, result, _ in _moves_from(tuple(word), frozenset(kinds))]

@@ -321,4 +321,8 @@ def _prime_factors(w: Word) -> Tuple[Word, ...]:
 
 def rank_word(seq: Sequence[str]) -> Word:
     """The word relabeled with standard labels by first occurrence."""
-    return tuple(label_for_rank(r) for r in rank_sequence(seq))
+    names: Dict[str, str] = {}
+    for label in seq:
+        if label not in names:
+            names[label] = label_for_rank(len(names))
+    return tuple([names[label] for label in seq])

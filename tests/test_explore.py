@@ -1,10 +1,14 @@
 """Class search, equivalence queries, enumeration, and the twist family."""
 
 from collections import deque
+from functools import lru_cache
+from itertools import product
 
 import pytest
 
 import oracles
+from flatknots import explore, moves
+from flatknots.corpus import load_corpus
 from flatknots.embedding import is_realizable
 from flatknots.explore import (
     ClassSearchResult,
@@ -39,6 +43,7 @@ from flatknots.words import (
     canonical,
     chord_count,
     connected_sum,
+    fresh_label,
     is_prime,
     rank_sequence,
 )
@@ -85,15 +90,14 @@ def test_search_class_state_cap_truncates():
     assert result.truncated
 
 
-def _plain_search(word, kinds, config, stop_at=None):
+def _plain_search(word, kinds, config):
     """Breadth first search over every neighbor, each canonicalized."""
     start = canonical(word)
-    goal = canonical(stop_at) if stop_at is not None else None
     visited = {start}
     parents = {}
     queue = deque([start])
     truncated = chord_count(start) > config.max_chords
-    while queue and not (goal is not None and goal in visited):
+    while queue:
         current = queue.popleft()
         for site, result in neighbors(current, kinds):
             if chord_count(result) > config.max_chords:
@@ -123,11 +127,6 @@ def test_search_matches_a_plain_search(moves_name):
                 assert result.words == words, (word, cap)
                 assert result.truncated == truncated, (word, cap)
                 assert result.parents == parents, (word, cap)
-                goal = max(words)
-                stopped = search_class(word, kinds, config, stop_at=goal)
-                assert (stopped.words, stopped.truncated, stopped.parents) == (
-                    _plain_search(word, kinds, config, stop_at=goal)
-                ), (word, cap)
 
 
 def test_search_checks_the_cross_chord_law(monkeypatch):
@@ -261,6 +260,86 @@ def test_verify_path_rejects_tampering():
     assert not verify_path(short)
     missing_chord = MoveSite(MoveKind.CURL_DELETE, (0,), ("zz",))
     assert not verify_path(WitnessPath(words=(CURL, ()), moves=(missing_chord,)))
+
+
+@lru_cache(maxsize=None)
+def _closure(word, moves_name, cap):
+    return search_class(word, MOVE_SETS[moves_name], SearchConfig(max_chords=cap))
+
+
+@pytest.mark.parametrize("moves_name", sorted(MOVE_SETS))
+def test_queries_match_a_one_sided_search(moves_name):
+    small = [entry for entry in load_corpus() if chord_count(entry.word) <= 6]
+    for first, second in product(small, repeat=2):
+        a, b = first.word, second.word
+        result = equivalence_query(a, b, moves_name)
+        cap = max(chord_count(a), chord_count(b)) + 2
+        expected = _closure(canonical(a), moves_name, cap).path_to(b)
+        pair = (first.name, second.name)
+        if expected is None:
+            assert result.path is None, pair
+            assert result.verdict != "equivalent" or moves_name == "r1", pair
+        else:
+            assert result.verdict == "equivalent", pair
+            assert len(result.path) == len(expected), pair
+            assert verify_path(result.path), pair
+
+
+def test_query_of_a_word_against_itself_is_empty():
+    result = equivalence_query(FIGURE8, FIGURE8[::-1], moves_name="both")
+    assert result.verdict == "equivalent"
+    assert result.reason == "path of 0 moves found"
+    assert result.path == WitnessPath((canonical(FIGURE8),), ())
+
+
+def test_an_end_above_the_chord_cap_is_searched_from_either_side():
+    # Both ends are states even above the cap, so the order of the
+    # words does not matter: two curl deletions join them.
+    curled = connected_sum(connected_sum(TREFOIL, CURL), CURL)
+    config = SearchConfig(max_chords=4)
+    for first, second in ((TREFOIL, curled), (curled, TREFOIL)):
+        result = equivalence_query(first, second, moves_name="strong", config=config)
+        assert result.reason == "path of 2 moves found"
+        assert verify_path(result.path)
+
+
+def test_query_with_a_tiny_state_cap_is_unknown():
+    # Two strong moves apart (a curl and an expansion), so the two ends
+    # alone fill the cap and cannot meet.
+    five_2 = ("a", "b", "c", "a", "d", "e", "b", "c", "e", "d")
+    assert len(equivalence_query(FIGURE8, five_2, moves_name="strong").path) == 2
+    result = equivalence_query(
+        FIGURE8, five_2, moves_name="strong", config=SearchConfig(max_chords=7, max_states=2)
+    )
+    assert result.verdict == "unknown"
+    assert result.reason == "no path within chords <= 7, states <= 2"
+    assert result.path is None
+
+
+def test_a_missing_inverse_move_is_a_defect():
+    # A b-side link that no move of the set undoes cannot be joined.
+    stray = MoveSite(MoveKind.WEAK_SLIDE, (0, 2, 4), ("a", "b", "c"))
+    a, b = canonical(TREFOIL), canonical(FIGURE8)
+    trees = ({a: None}, {b: None, a: (b, stray)})
+    with pytest.raises(MoveError, match="none takes it back"):
+        explore._join(trees, a, move_set("strong"))
+
+
+def test_searches_name_one_fresh_label_per_expanded_word(monkeypatch):
+    names = []
+
+    def counted(word):
+        names.append(tuple(word))
+        return fresh_label(word)
+
+    monkeypatch.setattr(moves, "fresh_label", counted)
+    config = SearchConfig(max_chords=6)
+    result = search_class(TREFOIL, move_set("both"), config)
+    below_cap = [w for w in result.words if chord_count(w) < config.max_chords]
+    assert sorted(names) == sorted(below_cap)
+    names.clear()
+    equivalence_query(TREFOIL, connected_sum(FIGURE8, CURL), moves_name="both")
+    assert names and len(names) == len(set(names))
 
 
 def test_enumerate_words_counts():
