@@ -99,12 +99,11 @@ def reduced_prime_census(n: int) -> Tuple[Word, ...]:
     The orderly generator of ``explore.enumerate_words`` closes chords
     under Gauss parity and the pair condition (Rosenstiehl 1976; de
     Fraysseix and Ossona de Mendez 1999), as for
-    ``enumerate_realizable``, and under the closed block rule: a proper
-    block closed under partners is a summand or a curl, so no completion
-    is reduced and prime.  Each rule drops whole classes, and a composite class is
-    caught in its canonical word too, because a closed block that wraps
-    has a closed complement that does not.  The leaves keep the
-    realization certificate and the reduced and prime tests.
+    ``enumerate_realizable``, and under the closed block rule of
+    ``words._closed_block``: a proper block closed under partners is a
+    summand or a curl, so no completion is reduced and prime.  Each rule
+    drops whole classes.  The leaves keep the realization certificate
+    and the reduced and prime tests; the prime test is one linear pass.
     """
     return tuple(
         w

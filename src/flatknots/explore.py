@@ -432,11 +432,9 @@ def _orderly(n: int, rule: int) -> Tuple[Word, ...]:
                 if _breaks_gauss(mask, masks, closed):
                     continue
                 masks[rank] = mask
-                # A block w[s..here] is closed under partners when it
-                # holds every chord 0 or 2 times, that is when the
-                # parities before s and after here agree.  One ending at
-                # the last position has a closed complement that ends
-                # earlier, and so does one that wraps.
+                # The law of ``words._closed_block``: a proper block ends
+                # here when this parity was seen before.  One ending at
+                # the last position has a closed complement ending earlier.
                 if (
                     rule == _GAUSS_PRIME
                     and here < total - 1

@@ -273,21 +273,23 @@ def _partners(word: Sequence[str]) -> list:
     return [(p - d) % len(word) for p, d in enumerate(_back_distances(word))]
 
 
-def _self_contained_interval(word: Word) -> "tuple[int, int] | None":
-    """Shortest proper cyclic interval closed under chord partners.
+def _closed_block(w: Word) -> "tuple[int, int] | None":
+    """The first proper block ``w[i:j]`` closed under chord partners, or None.
 
-    Scans lengths in increasing order, so a hit is a prime factor.
+    A block holds every chord 0 or 2 times exactly when the parity
+    bitsets (the chords met once) of ``w[:i]`` and ``w[:j]`` agree, so
+    one pass finds the least j whose parity was seen before.  A closed
+    block that wraps has a closed complement that does not.  The block
+    found is prime: a closed block inside it would repeat a parity before j.
     """
-    length_total = len(word)
-    partner = _partners(word)
-    for length in range(2, length_total, 2):
-        for start in range(length_total):
-            for offset in range(length):
-                p = (start + offset) % length_total
-                if (partner[p] - start) % length_total >= length:
-                    break
-            else:
-                return start, length
+    bits: Dict[str, int] = {}
+    first = {0: 0}
+    parity = 0
+    for j in range(1, len(w)):
+        parity ^= bits.setdefault(w[j - 1], 1 << len(bits))
+        i = first.setdefault(parity, j)
+        if i < j:
+            return i, j
     return None
 
 
@@ -295,28 +297,27 @@ def is_prime(word: Sequence[str]) -> bool:
     """True when the word is nonempty and not a nontrivial splice."""
     w = tuple(word)
     validate_word(w)
-    return bool(w) and _self_contained_interval(w) is None
+    return bool(w) and _closed_block(w) is None
 
 
 def prime_decompose(word: Sequence[str]) -> Tuple[Word, ...]:
-    """Canonical prime factors, sorted by (size, word); () for the empty word."""
+    """Canonical prime factors, sorted by (size, word); () for the empty word.
+
+    The first closed block (``_closed_block``) is a prime factor, so
+    blocks are split off until none is left, and the rest is prime.
+    """
     w = tuple(word)
     validate_word(w)
-    return _prime_factors(w)
-
-
-def _prime_factors(w: Word) -> Tuple[Word, ...]:
     if not w:
         return ()
-    found = _self_contained_interval(w)
-    if found is None:
-        return (_canonical_cached(w),)
-    start, length = found
-    total = len(w)
-    inside = tuple(w[(start + k) % total] for k in range(length))
-    outside = tuple(w[(start + length + k) % total] for k in range(total - length))
-    factors = _prime_factors(rank_word(inside)) + _prime_factors(rank_word(outside))
-    return tuple(sorted(factors, key=lambda f: (len(f), f)))
+    factors = []
+    while (found := _closed_block(w)) is not None:
+        i, j = found
+        factors.append(w[i:j])
+        w = w[:i] + w[j:]
+    factors.append(w)
+    shapes = [_canonical_cached(rank_word(f)) for f in factors]
+    return tuple(sorted(shapes, key=lambda f: (len(f), f)))
 
 
 def rank_word(seq: Sequence[str]) -> Word:

@@ -145,6 +145,28 @@ def reduce_r1_all_orders(word: Sequence[str]) -> Set[Tuple[int, ...]]:
     return results
 
 
+def prime_factors_by_intervals(word: Sequence[str]) -> Tuple[Tuple[int, ...], ...]:
+    """Least rank sequences of the prime factors, sorted; () for the empty word.
+
+    A word is composite when some cyclic interval, neither empty nor the
+    whole word, holds both passages of each chord it meets.  Every start
+    and length is tried; the word splits into the first such interval
+    and its complement, and each part is decomposed again.
+    """
+    w = list(word)
+    total = len(w)
+    for length in range(1, total):
+        for start in range(total):
+            rotated = w[start:] + w[:start]
+            inside = rotated[:length]
+            if 2 * len(set(inside)) == length:
+                parts = prime_factors_by_intervals(inside) + prime_factors_by_intervals(
+                    rotated[length:]
+                )
+                return tuple(sorted(parts, key=lambda f: (len(f), f)))
+    return (min(all_canonical_variants(w)),) if w else ()
+
+
 # ---------------------------------------------------------------------------
 # triangle sites
 

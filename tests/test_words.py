@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import oracles
 from sample_words import CURL, FIGURE8, TREFOIL
-from flatknots.explore import twist_family
+from flatknots.corpus import load_corpus
+from flatknots.explore import enumerate_words, twist_family
 from flatknots.words import (
     WordError,
     _back_distances,
@@ -220,6 +221,8 @@ def test_prime_examples():
     assert is_prime(FIGURE8)
     assert not is_prime(())
     assert not is_prime(("a", "a", "b", "b"))
+    for k in (98, 198, 398):
+        assert is_prime(twist_family(k)), k
 
 
 def test_prime_decompose_frozen():
@@ -242,6 +245,15 @@ def test_prime_decompose_recovers_random_sums(rng):
             word = connected_sum(word, part, slot=rng.randrange(max(1, len(word))))
         expected = sorted(canonical(p) for p in parts)
         assert sorted(prime_decompose(word)) == expected
+    # Long sums of catalog primes and curls, up to 40 summands.
+    primes = [CURL] + [entry.word for entry in load_corpus()]
+    for _ in range(20):
+        parts = [rng.choice(primes) for _ in range(rng.randint(1, 40))]
+        word = ()
+        for part in parts:
+            word = connected_sum(word, part, slot=rng.randrange(max(1, len(word))))
+        expected = sorted(canonical(p) for p in parts)
+        assert sorted(prime_decompose(word)) == expected
 
 
 def test_prime_decompose_factors_are_prime():
@@ -252,6 +264,12 @@ def test_prime_decompose_factors_are_prime():
             for factor in factors:
                 assert is_prime(factor)
                 assert canonical(factor) == factor
+    for n in range(8):
+        for word in enumerate_words(n):
+            expected = oracles.prime_factors_by_intervals(word)
+            factors = prime_decompose(word)
+            assert tuple(rank_sequence(f) for f in factors) == expected, word
+            assert is_prime(word) == (len(expected) == 1), word
 
 
 def test_prime_decompose_seam_pairs():
