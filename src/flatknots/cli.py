@@ -359,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_class = explore_sub.add_parser("class", help="bounded closure of a word")
     p_class.add_argument("word")
     p_class.add_argument("--moves", default="both", choices=move_names)
-    p_class.add_argument("--max-n", type=int, default=6, dest="max_n")
-    p_class.add_argument("--max-states", type=int, default=200000, dest="max_states")
+    p_class.add_argument("--max-n", type=int, default=SearchConfig.max_chords, dest="max_n")
+    p_class.add_argument("--max-states", type=int, default=SearchConfig.max_states, dest="max_states")
     p_class.add_argument("--json", action="store_true")
     p_class.set_defaults(func=_cmd_explore)
     p_equiv = explore_sub.add_parser("equiv", help="decide or refute equivalence")
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_equiv.add_argument("other")
     p_equiv.add_argument("--moves", default="both", choices=move_names)
     p_equiv.add_argument("--max-n", type=int, default=8, dest="max_n")
-    p_equiv.add_argument("--max-states", type=int, default=200000, dest="max_states")
+    p_equiv.add_argument("--max-states", type=int, default=SearchConfig.max_states, dest="max_states")
     p_equiv.add_argument("--json", action="store_true")
     p_equiv.set_defaults(func=_cmd_explore)
     p_family = explore_sub.add_parser("family", help="twist family member")

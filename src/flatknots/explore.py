@@ -1,23 +1,24 @@
 """Equivalence class search, word enumeration, and structured families.
 
 Classes under move sets that include curl insertion are infinite, so
-searches run inside a window: a chord count cap and a state cap.  A
+searches run inside a window, stated once in ``_grow``, the breadth
+first step of every search: no curl addition from a state at or above
+the chord cap, no result above it, and a new state only while the
+searched trees hold fewer than ``max_states`` states together.  A
 completed path certifies equivalence; exhausting the window certifies
-nothing, and the result says so.  Equivalence queries search from both
-ends and stop where the two searches meet.  That joins the same words
-as a search from one end, because each move set holds the inverse of
-every move in it and the chord cap is the same from either end.  The
-path is a shortest one inside the window, and the state cap counts the
-states of both ends together.  Some move sets carry complete or partial
-invariants that decide inequivalence outright: the curl reduced normal
-form for curl moves alone, and the cross chord residue mod 3, the
-clique union flag and the trivializing number wherever
+nothing, and the result says so.  Equivalence queries grow trees from
+both ends and stop where they meet.  That joins the same words as a
+search from one end, because each move set holds the inverse of every
+move in it and the chord cap is the same from either end.  The path is
+a shortest one inside the window.  Some move sets carry complete or
+partial invariants that decide inequivalence outright: the curl
+reduced normal form for curl moves alone, and the cross chord residue
+mod 3, the clique union flag and the trivializing number wherever
 ``moves.MOVE_LAWS`` keeps them for every move in the set.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -82,6 +83,21 @@ def verify_path(path: WitnessPath) -> bool:
     return True
 
 
+# Each word a search reached, with the word it was reached from and the
+# site applied there; None at the word the tree grew from.
+_Tree = Dict[Word, Optional[Tuple[Word, MoveSite]]]
+
+
+def _to_root(tree: _Tree, word: Word) -> List[Word]:
+    """``word``, its parent, and so on up to the word its tree grew from."""
+    chain = [word]
+    link = tree[word]
+    while link is not None:
+        chain.append(link[0])
+        link = tree[link[0]]
+    return chain
+
+
 @dataclass
 class ClassSearchResult:
     start: Word
@@ -89,7 +105,12 @@ class ClassSearchResult:
     config: SearchConfig
     words: FrozenSet[Word]
     truncated: bool
-    parents: Dict[Word, Tuple[Word, MoveSite]] = field(repr=False)
+    tree: _Tree = field(repr=False)
+
+    @property
+    def parents(self) -> Dict[Word, Tuple[Word, MoveSite]]:
+        """Each reached word but the start, with the word and site it was reached by."""
+        return {child: link for child, link in self.tree.items() if link is not None}
 
     def __contains__(self, word: Sequence[str]) -> bool:
         return canonical(word) in self.words
@@ -101,15 +122,46 @@ class ClassSearchResult:
 
     def path_to(self, target: Sequence[str]) -> Optional[WitnessPath]:
         goal = canonical(target)
-        if goal not in self.words:
+        if goal not in self.tree:
             return None
-        words = [goal]
-        moves: List[MoveSite] = []
-        while words[-1] != self.start:
-            parent, site = self.parents[words[-1]]
-            moves.append(site)
-            words.append(parent)
-        return WitnessPath(tuple(reversed(words)), tuple(reversed(moves)))
+        words = _to_root(self.tree, goal)[::-1]
+        return WitnessPath(tuple(words), tuple(self.tree[child][1] for child in words[1:]))
+
+
+def _grow(
+    own: _Tree, other: _Tree, frontier: List[Word], kinds: FrozenSet[MoveKind], config: SearchConfig
+) -> Tuple[List[Word], List[Tuple[Word, MoveSite, Word]], bool]:
+    """Expand one breadth first level of ``own``: the one statement of the window.
+
+    Every move of ``kinds`` is applied from each word of ``frontier``,
+    except curl addition from a word at or above the chord cap, which
+    always leaves the window.  A result above the chord cap is dropped.
+    One in ``other`` is a meeting, returned as (word, site, result).  A
+    new one joins ``own`` and the level while ``own`` and ``other``
+    together hold fewer than ``max_states``.  Returns the level, the
+    meetings, and whether the window cut anything: a frontier word above
+    the cap, a move not applied, a result dropped, or a state refused.
+    """
+    level: List[Word] = []
+    meetings: List[Tuple[Word, MoveSite, Word]] = []
+    cut = False
+    for current in frontier:
+        size = chord_count(current)
+        wanted = kinds - {MoveKind.CURL_ADD} if size >= config.max_chords else kinds
+        cut = cut or size > config.max_chords or wanted != kinds
+        for site, result, shape in _moves_from(current, wanted):
+            if chord_count(result) > config.max_chords:
+                cut = True
+            elif shape in other:
+                meetings.append((current, site, shape))
+            elif shape in own:
+                continue
+            elif len(own) + len(other) >= config.max_states:
+                cut = True
+            else:
+                own[shape] = (current, site)
+                level.append(shape)
+    return level, meetings, cut
 
 
 def search_class(
@@ -120,63 +172,19 @@ def search_class(
     """Breadth first closure of a word under the given moves, windowed.
 
     States are canonical forms.  Each applied move costs one canonical
-    form, that of its result, on which its laws are checked.  Curl
-    additions from a state at or above the chord cap always leave the
-    window, so they are not applied; they only mark the result
-    truncated.
+    form, that of its result, on which its laws are checked.  The tree
+    grows by ``_grow`` one level at a time until no level is left, and
+    the result is truncated when the window cut any level.
     """
     start = canonical(word)
     kind_set = frozenset(kinds)
-    visited = {start}
-    parents: Dict[Word, Tuple[Word, MoveSite]] = {}
-    queue = deque([start])
-    truncated = chord_count(start) > config.max_chords
-    while queue:
-        current = queue.popleft()
-        wanted = _window_kinds(current, kind_set, config)
-        truncated = truncated or wanted != kind_set
-        for site, result, shape in _moves_from(current, wanted):
-            if chord_count(result) > config.max_chords:
-                truncated = True
-                continue
-            if shape in visited:
-                continue
-            if len(visited) >= config.max_states:
-                truncated = True
-                continue
-            visited.add(shape)
-            parents[shape] = (current, site)
-            queue.append(shape)
-    return ClassSearchResult(
-        start=start,
-        kinds=kind_set,
-        config=config,
-        words=frozenset(visited),
-        truncated=truncated,
-        parents=parents,
-    )
-
-
-def _window_kinds(word: Word, kinds: FrozenSet[MoveKind], config: SearchConfig) -> FrozenSet[MoveKind]:
-    """The kinds applied from ``word``: no curl addition from the chord cap or above."""
-    if chord_count(word) >= config.max_chords:
-        return kinds - {MoveKind.CURL_ADD}
-    return kinds
-
-
-# Each word one end of the two-ended search reached, with the word it
-# was reached from and the site applied there; None at the end itself.
-_Tree = Dict[Word, Optional[Tuple[Word, MoveSite]]]
-
-
-def _to_root(tree: _Tree, word: Word) -> List[Word]:
-    """``word``, its parent, and so on up to the end its tree grew from."""
-    chain = [word]
-    link = tree[word]
-    while link is not None:
-        chain.append(link[0])
-        link = tree[link[0]]
-    return chain
+    tree: _Tree = {start: None}
+    frontier = [start]
+    truncated = False
+    while frontier:
+        frontier, _, cut = _grow(tree, {}, frontier, kind_set, config)
+        truncated = truncated or cut
+    return ClassSearchResult(start, kind_set, config, frozenset(tree), truncated, tree)
 
 
 def _two_ended_search(
@@ -185,12 +193,11 @@ def _two_ended_search(
     """A shortest path from ``a`` to ``b`` inside the window, or None.
 
     Breadth first search from both ends (Pohl, "Bi-directional search",
-    Machine Intelligence 6, 1971), one whole level at a time on the side
-    whose frontier is smaller, with moves applied as in ``search_class``.
-    The first level that reaches the other side stops at the meeting
-    state of least total depth: until then each side holds every state
-    within its depth, so no shorter path exists.  None as soon as
-    either frontier is empty.
+    Machine Intelligence 6, 1971): ``_grow`` takes one whole level at a
+    time on the side whose frontier is smaller.  The first level that
+    reaches the other side stops at the meeting state of least total
+    depth: until then each side holds every state within its depth, so
+    no shorter path exists.  None as soon as either frontier is empty.
     """
     if a == b:
         return WitnessPath((a,), ())
@@ -199,22 +206,11 @@ def _two_ended_search(
     while frontiers[0] and frontiers[1]:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         own, other = trees[side], trees[1 - side]
-        level: List[Word] = []
-        meetings: List[Tuple[int, Word, Word, MoveSite]] = []
-        for current in frontiers[side]:
-            for site, result, shape in _moves_from(current, _window_kinds(current, kinds, config)):
-                if chord_count(result) > config.max_chords:
-                    continue
-                if shape in other:
-                    meetings.append((len(_to_root(other, shape)), shape, current, site))
-                elif shape not in own and len(own) + len(other) < config.max_states:
-                    own[shape] = (current, site)
-                    level.append(shape)
+        frontiers[side], meetings, _ = _grow(own, other, frontiers[side], kinds, config)
         if meetings:
-            _, meeting, current, site = min(meetings, key=lambda m: m[0])
+            current, site, meeting = min(meetings, key=lambda m: len(_to_root(other, m[2])))
             own[meeting] = (current, site)
             return _join(trees, meeting, kinds)
-        frontiers[side] = level
     return None
 
 

@@ -148,12 +148,12 @@ _Tally = Dict[Tuple[int, int], int]
 _DELTA: Laurent = {2: -1, -2: -1}
 
 
-def _sweep(diagram: Diagram, options: Sequence[Tuple[int, ...]]) -> _Tally:
-    """(B splits, loops) -> state count, each crossing split as ``options`` allows."""
+def _sweep(diagram: Diagram) -> _Tally:
+    """(B splits, loops) -> state count, over every split of every crossing."""
     placed: Set[int] = set()
     ends: Tuple[int, ...] = ()
     frontier: Dict[Tuple[int, ...], _Tally] = {(): {(0, 0): 1}}
-    for joins, splits in zip(_split_pairs(diagram), options):
+    for joins in _split_pairs(diagram):
         darts = {d for join in joins for d in join}
         placed |= darts
         # Arcs whose two ends are both placed from now on, each met once.
@@ -165,7 +165,7 @@ def _sweep(diagram: Diagram, options: Sequence[Tuple[int, ...]]) -> _Tally:
         next_ends = tuple(sorted(d for d in placed if d ^ 1 not in placed))
         swept: Dict[Tuple[int, ...], _Tally] = {}
         for pairing, tally in frontier.items():
-            for split in splits:
+            for split in (0, 1):
                 partner = dict(zip(ends, pairing))
                 for x, y in joins[2 * split : 2 * split + 2]:
                     partner[x] = y
@@ -187,22 +187,12 @@ def _sweep(diagram: Diagram, options: Sequence[Tuple[int, ...]]) -> _Tally:
     return frontier[()]
 
 
-def smoothing_loops(diagram: Diagram, state: Sequence[int]) -> int:
-    """Loop count after splitting each crossing per the 0/1 state."""
-    if len(state) != diagram.crossings:
-        raise DiagramError("state length must match the crossing count")
-    if not diagram.word:
-        return 1
-    ((_, loops),) = _sweep(diagram, [(1 if s else 0,) for s in state])
-    return loops
-
-
 def kauffman_bracket(diagram: Diagram) -> Laurent:
     """State sum over all splits, normalized to 1 on the empty word."""
     n = diagram.crossings
     if n == 0:
         return laurent_one()
-    tally = _sweep(diagram, [(0, 1)] * n)
+    tally = _sweep(diagram)
     delta_powers = [laurent_one()]
     for _ in range(max(loops for _, loops in tally) - 1):
         delta_powers.append(laurent_mul(delta_powers[-1], _DELTA))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from flatknots import MOVE_LAWS, MoveKind
+from flatknots import MOVE_LAWS, MoveKind, move_set, search_class
 from flatknots.cli import main
 from flatknots.words import connected_sum
 
@@ -361,6 +361,14 @@ def test_explore_class_json(capsys):
     payload = json.loads(out)
     assert payload["start"] == "a b c a b c"
     assert "a a b b c c" in payload["words"]
+
+
+def test_explore_class_window_defaults_to_the_search_config(capsys):
+    code, out, _ = run(capsys, "explore", "class", TREFOIL_TEXT, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    result = search_class(TREFOIL_WORD, move_set("both"))
+    assert (payload["count"], payload["truncated"]) == (len(result.words), result.truncated)
 
 
 def test_explore_equiv_verdicts(capsys):

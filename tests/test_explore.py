@@ -118,15 +118,25 @@ def _plain_search(word, kinds, config):
 @pytest.mark.parametrize("moves_name", sorted(MOVE_SETS))
 def test_search_matches_a_plain_search(moves_name):
     kinds = MOVE_SETS[moves_name]
+    # Chord caps below, at and above the start, and state caps that bind
+    # from the first level on, so the comparison also covers a start
+    # outside the window and which state a full window refuses.
     for n in range(5):
         for word in enumerate_realizable(n):
-            for cap in (n, n + 1):
-                config = SearchConfig(max_chords=cap)
+            for cap, max_states in product((max(n - 1, 0), n, n + 1), (1, 2, 5, 200000)):
+                config = SearchConfig(max_chords=cap, max_states=max_states)
                 result = search_class(word, kinds, config)
                 words, truncated, parents = _plain_search(word, kinds, config)
-                assert result.words == words, (word, cap)
-                assert result.truncated == truncated, (word, cap)
-                assert result.parents == parents, (word, cap)
+                assert result.words == words, (word, config)
+                assert result.truncated == truncated, (word, config)
+                assert result.parents == parents, (word, config)
+
+
+def test_the_benchmark_closure_of_the_trefoil_replays():
+    result = search_class(TREFOIL, move_set("both"), SearchConfig(max_chords=7))
+    assert len(result.words) == 239
+    assert result.truncated
+    assert all(verify_path(result.path_to(word)) for word in result.words)
 
 
 def test_search_checks_the_cross_chord_law(monkeypatch):

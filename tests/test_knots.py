@@ -10,6 +10,7 @@ import pytest
 from flatknots.embedding import NotRealizableError, realize
 from flatknots.explore import enumerate_realizable, twist_family
 from flatknots.knots import (
+    _sweep,
     Diagram,
     DiagramError,
     alternating_determinant,
@@ -20,7 +21,6 @@ from flatknots.knots import (
     mirror_diagram,
     positive_resolution,
     resolve,
-    smoothing_loops,
 )
 from flatknots.laurent import laurent_add, laurent_format, laurent_mul, laurent_one, monomial
 from flatknots.moves import MoveKind, apply_move, find_sites
@@ -58,7 +58,6 @@ def test_empty_word_diagram():
     assert kauffman_bracket(diagram) == {0: 1}
     assert jones_normalized(diagram) == {0: 1}
     assert determinant(diagram) == 1
-    assert smoothing_loops(diagram, ()) == 1
 
 
 def test_positive_curl_bracket():
@@ -161,29 +160,30 @@ def test_determinant_is_odd_and_matches_spanning_count():
 
 
 def test_state_loops_never_exceed_chords_plus_one():
-    for n in range(1, 5):
+    for n in range(1, 6):
         for word in enumerate_realizable(n):
-            diagram = alternating_diagram(word)
-            counts = [
-                smoothing_loops(diagram, state)
-                for state in itertools.product((0, 1), repeat=n)
-            ]
-            assert len(counts) == 2 ** n
-            assert max(counts) <= n + 1
-            assert min(counts) >= 1
+            tally = _sweep(alternating_diagram(word))
+            assert sum(tally.values()) == 2 ** n
+            assert all(1 <= loops <= n + 1 for _, loops in tally)
+
+
+def _all_a_splits(diagram):
+    """The loop count of the one state with no B split."""
+    ((loops, count),) = [(loops, count) for (b, loops), count in _sweep(diagram).items() if b == 0]
+    assert count == 1
+    return loops
 
 
 def test_oriented_split_counts_match_arc_merge_oracle():
-    for n in range(1, 5):
+    for n in range(1, 6):
         for word in enumerate_realizable(n):
             diagram = positive_resolution(word)
             # Every crossing is positive, so the A split at each one
             # follows the traversal orientation.
             assert diagram.signs == (1,) * n
-            assert smoothing_loops(diagram, (0,) * n) == seifert_circles(word)
+            assert _all_a_splits(diagram) == seifert_circles(word)
     for word, circles in ((CURL, 2), (TREFOIL, 2), (FIGURE8, 3)):
-        diagram = positive_resolution(word)
-        assert smoothing_loops(diagram, (0,) * diagram.crossings) == circles
+        assert _all_a_splits(positive_resolution(word)) == circles
 
 
 def test_determinant_multiplies_over_connected_sums():
@@ -218,13 +218,6 @@ def test_nonrealizable_words_cannot_resolve():
         positive_resolution(NONREALIZABLE_2)
     with pytest.raises(NotRealizableError):
         alternating_diagram(NONREALIZABLE_2)
-
-
-def test_smoothing_loops_validates_state_length():
-    diagram = positive_resolution(TREFOIL)
-    with pytest.raises(DiagramError):
-        smoothing_loops(diagram, (0,))
-    assert smoothing_loops(diagram, (0, 0, 0)) == 2
 
 
 def test_sign_depends_on_over_strand_choice():
