@@ -15,6 +15,10 @@ partial invariants that decide inequivalence outright: the curl
 reduced normal form for curl moves alone, and the cross chord residue
 mod 3, the clique union flag and the trivializing number wherever
 ``moves.MOVE_LAWS`` keeps them for every move in the set.
+
+Every search reads the moves of a word from the memo of the move graph
+in ``moves``, so each (word, site) that the searches of one process
+meet is found, applied and law-checked once while the memo holds it.
 """
 
 from __future__ import annotations
@@ -171,10 +175,12 @@ def search_class(
 ) -> ClassSearchResult:
     """Breadth first closure of a word under the given moves, windowed.
 
-    States are canonical forms.  Each applied move costs one canonical
-    form, that of its result, on which its laws are checked.  The tree
-    grows by ``_grow`` one level at a time until no level is left, and
-    the result is truncated when the window cut any level.
+    States are canonical forms.  The moves of each expanded state come
+    from the memo of the move graph in ``moves``, so a move is applied,
+    canonicalized and law-checked once per process, however many
+    searches meet it.  The tree grows by ``_grow`` one level at a time
+    until no level is left, and the result is truncated when the window
+    cut any level.
     """
     start = canonical(word)
     kind_set = frozenset(kinds)

@@ -21,15 +21,18 @@ through ``neighbors`` or ``_apply``, which skip the site lookup but not
 the laws.
 
 Words are validated once, at the public entry points.  An applied move
-canonicalizes its result once and checks both laws on that shape
-through shape-keyed caches, so a move that reaches a known class costs
-one canonical form.
+canonicalizes its result once and checks both laws on that shape.
+Searches and ``neighbors`` read the moves of a word from one bounded
+memo of the move graph, ``_moves_of``, so each (word, site) they meet
+is found, applied and law-checked once per process while the memo
+holds it; a move that breaks a law raises every time it is met.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .embedding import _realize_cached
@@ -100,7 +103,7 @@ MOVE_LAWS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MoveSite:
     """A place where one move applies.
 
@@ -235,11 +238,12 @@ def apply_move(word: Sequence[str], site: MoveSite) -> Word:
 def _apply(w: Word, site: MoveSite, label: Optional[str] = None) -> Tuple[Word, Word]:
     """Apply a site that ``find_sites`` reported for ``w``; returns the result and its shape.
 
-    The site is not checked again.  Both laws are, on every move: the
+    The site is not checked again.  Both laws are, on every call: the
     result is canonicalized once, and the X law and the keeping of
-    realizability are checked on that shape through shape-keyed caches,
-    so a move that reaches a known class costs one canonical form.
-    A curl addition inserts ``label``, which must be ``fresh_label(w)``;
+    realizability are checked on that shape through shape-keyed caches.
+    Searches reach this through the memo ``_moves_of``, so each (word,
+    site) they meet is applied and law-checked once per process.  A
+    curl addition inserts ``label``, which must be ``fresh_label(w)``;
     it is computed here when not given.
     """
     if site.kind == MoveKind.CURL_ADD:
@@ -270,15 +274,60 @@ def _apply(w: Word, site: MoveSite, label: Optional[str] = None) -> Tuple[Word, 
     return result, shape
 
 
-def _moves_from(w: Word, kinds: FrozenSet[MoveKind]) -> Iterator[Tuple[MoveSite, Word, Word]]:
-    """(site, result, shape) for every site that ``find_sites`` reports on ``w``.
+# The move groups, one per site finder: ``_triangle_sites`` finds the
+# three triangle kinds at once.
+_CURL_ADDS = frozenset({MoveKind.CURL_ADD})
+_CURL_DELETES = frozenset({MoveKind.CURL_DELETE})
+_TRIANGLE_KINDS = (MoveKind.STRONG_CONTRACT, MoveKind.STRONG_EXPAND, MoveKind.WEAK_SLIDE)
+_GROUPS = (_CURL_ADDS, _CURL_DELETES, frozenset(_TRIANGLE_KINDS))
 
-    Every curl addition of ``w`` inserts the same fresh label, so it is
-    named once per word.
+
+@lru_cache(maxsize=4096)
+def _moves_of(w: Word, kinds: FrozenSet[MoveKind]) -> Tuple[Tuple[MoveSite, Word, Word], ...]:
+    """The memo of the move graph: (site, result, shape) for every site of ``w`` of ``kinds``.
+
+    ``w`` is a valid word and ``kinds`` a nonempty part of one move
+    group.  The sites come from the group's finder in the order
+    ``find_sites`` gives them, and each is applied through ``_apply``,
+    so every law is checked when an entry is first computed; a
+    MoveError propagates and, as ``lru_cache`` stores no exception, is
+    raised again the next time.  A search under the strong or the weak
+    moves thus never applies the other triangle kinds.  Every curl
+    addition of ``w`` inserts the same fresh label, so it is named once
+    per word.
+
+    Memory: entries outlive the searches that fill them.  An entry of an
+    n chord word holds O(n) sites (2n curl additions, at most n curl
+    deletions, a bounded number of triangle sites per factor), each
+    with two words of at most 2n + 2 letters, so it grows as n^2.  The
+    largest is the curl additions, about 64 n^2 + 640 n bytes on 64-bit
+    CPython (measured: 9.2 KB at n = 8, 77 KB at n = 30), so a full
+    memo of n chord words holds at most about 4,096 times that: 38 MB
+    at n = 8, 310 MB at n = 30.
     """
-    label = fresh_label(w) if MoveKind.CURL_ADD in kinds else None
-    for site in find_sites(w, kinds):
-        yield (site, *_apply(w, site, label))
+    if kinds == _CURL_ADDS:
+        label = fresh_label(w)
+        return tuple((site, *_apply(w, site, label)) for site in _curl_add_sites(w))
+    if kinds == _CURL_DELETES:
+        sites = _curl_delete_sites(w)
+    else:
+        found = _triangle_sites(w)
+        sites = [site for kind in _TRIANGLE_KINDS if kind in kinds for site in found if site.kind is kind]
+    return tuple((site, *_apply(w, site)) for site in sites)
+
+
+def _moves_from(w: Word, kinds: FrozenSet[MoveKind]) -> Iterator[Tuple[MoveSite, Word, Word]]:
+    """(site, result, shape) for every site that ``find_sites(w, kinds)`` reports, in its order.
+
+    ``w`` is a valid word.  Read only from the memo ``_moves_of``, one
+    entry for the part of each move group that ``kinds`` holds: each
+    (word, site) is found, applied and law-checked once per process
+    while the memo holds it.
+    """
+    for group in _GROUPS:
+        wanted = group & kinds
+        if wanted:
+            yield from _moves_of(w, wanted)
 
 
 def neighbors(word: Sequence[str], kinds: Iterable[MoveKind]) -> List[Tuple[MoveSite, Word]]:
@@ -287,4 +336,6 @@ def neighbors(word: Sequence[str], kinds: Iterable[MoveKind]) -> List[Tuple[Move
     A site found here that breaks a law is a defect, so its MoveError
     propagates instead of being skipped.
     """
-    return [(site, result) for site, result, _ in _moves_from(tuple(word), frozenset(kinds))]
+    w = tuple(word)
+    validate_word(w)
+    return [(site, result) for site, result, _ in _moves_from(w, frozenset(kinds))]

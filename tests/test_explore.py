@@ -115,21 +115,37 @@ def _plain_search(word, kinds, config):
     return visited, truncated, parents
 
 
-@pytest.mark.parametrize("moves_name", sorted(MOVE_SETS))
+# The named move sets, and kind sets without curl addition, whose
+# classes are finite, so that a search can end without truncation.
+_KIND_SETS = {
+    **MOVE_SETS,
+    "curl-delete": frozenset({MoveKind.CURL_DELETE}),
+    "triangles": frozenset(
+        {MoveKind.STRONG_CONTRACT, MoveKind.STRONG_EXPAND, MoveKind.WEAK_SLIDE}
+    ),
+    "strong-triangles": frozenset({MoveKind.STRONG_CONTRACT, MoveKind.STRONG_EXPAND}),
+}
+
+
+@pytest.mark.parametrize("moves_name", sorted(_KIND_SETS))
 def test_search_matches_a_plain_search(moves_name):
-    kinds = MOVE_SETS[moves_name]
+    kinds = _KIND_SETS[moves_name]
     # Chord caps below, at and above the start, and state caps that bind
     # from the first level on, so the comparison also covers a start
-    # outside the window and which state a full window refuses.
+    # outside the window and which state a full window refuses.  The
+    # state cap equal to the size of the unbounded closure fits the class
+    # exactly: a full window that meets only known states cuts nothing.
     for n in range(5):
         for word in enumerate_realizable(n):
-            for cap, max_states in product((max(n - 1, 0), n, n + 1), (1, 2, 5, 200000)):
-                config = SearchConfig(max_chords=cap, max_states=max_states)
-                result = search_class(word, kinds, config)
-                words, truncated, parents = _plain_search(word, kinds, config)
-                assert result.words == words, (word, config)
-                assert result.truncated == truncated, (word, config)
-                assert result.parents == parents, (word, config)
+            for cap in (max(n - 1, 0), n, n + 1):
+                exact = len(_plain_search(word, kinds, SearchConfig(max_chords=cap))[0])
+                for max_states in (1, 2, 5, exact, 200000):
+                    config = SearchConfig(max_chords=cap, max_states=max_states)
+                    result = search_class(word, kinds, config)
+                    words, truncated, parents = _plain_search(word, kinds, config)
+                    assert result.words == words, (word, config)
+                    assert result.truncated == truncated, (word, config)
+                    assert result.parents == parents, (word, config)
 
 
 def test_the_benchmark_closure_of_the_trefoil_replays():
@@ -140,6 +156,8 @@ def test_the_benchmark_closure_of_the_trefoil_replays():
 
 
 def test_search_checks_the_cross_chord_law(monkeypatch):
+    # A move held in the memo is not checked again, so start it empty.
+    moves._moves_of.cache_clear()
     law = MOVE_LAWS[MoveKind.CURL_DELETE]
     monkeypatch.setitem(MOVE_LAWS, MoveKind.CURL_DELETE, law._replace(dx=(1,)))
     with pytest.raises(MoveError, match="curl-delete changed the cross chord count by 0"):
@@ -342,14 +360,74 @@ def test_searches_name_one_fresh_label_per_expanded_word(monkeypatch):
         names.append(tuple(word))
         return fresh_label(word)
 
+    # A word whose curl additions the memo holds names no label, so
+    # each search starts from an empty memo.
+    moves._moves_of.cache_clear()
     monkeypatch.setattr(moves, "fresh_label", counted)
     config = SearchConfig(max_chords=6)
     result = search_class(TREFOIL, move_set("both"), config)
     below_cap = [w for w in result.words if chord_count(w) < config.max_chords]
     assert sorted(names) == sorted(below_cap)
     names.clear()
+    moves._moves_of.cache_clear()
     equivalence_query(TREFOIL, connected_sum(FIGURE8, CURL), moves_name="both")
     assert names and len(names) == len(set(names))
+
+
+def _search_outputs():
+    """A closure and a query under every named move set, in comparable form."""
+    closure = search_class(TREFOIL, move_set("both"), SearchConfig(max_chords=5))
+    outputs = [(list(closure.tree.items()), closure.truncated)]
+    queries = [
+        ("r1", TREFOIL, connected_sum(TREFOIL, CURL, slot=2)),
+        ("strong", FIGURE8, ("a", "b", "c", "a", "d", "e", "b", "c", "e", "d")),
+        ("weak", FIGURE8, connected_sum(FIGURE8, CURL)),
+        ("both", TREFOIL, connected_sum(FIGURE8, CURL)),
+    ]
+    for name, a, b in queries:
+        result = equivalence_query(a, b, moves_name=name)
+        outputs.append((result.verdict, result.reason, result.path))
+    return outputs
+
+
+def test_searches_from_a_warm_memo_match_those_from_a_cold_one():
+    moves._moves_of.cache_clear()
+    cold = _search_outputs()
+    misses = moves._moves_of.cache_info().misses
+    assert _search_outputs() == cold
+    # The second pass read every move from the memo.
+    assert moves._moves_of.cache_info().misses == misses
+    assert all(path is not None for _, _, path in cold[1:])
+
+
+@pytest.mark.parametrize("moves_name", sorted(MOVE_SETS))
+def test_a_search_applies_only_its_moves_and_a_repeat_applies_none(monkeypatch, moves_name):
+    kinds = move_set(moves_name)
+    config = SearchConfig(max_chords=5)
+    applied = []
+    apply = moves._apply
+
+    def counted(w, site, *rest):
+        applied.append(site.kind)
+        return apply(w, site, *rest)
+
+    moves._moves_of.cache_clear()
+    monkeypatch.setattr(moves, "_apply", counted)
+    first = search_class(TREFOIL, kinds, config)
+    assert applied and set(applied) <= kinds
+    applied.clear()
+    again = search_class(TREFOIL, kinds, config)
+    assert applied == []
+    assert list(again.tree.items()) == list(first.tree.items())
+
+
+def test_a_broken_law_is_never_held_in_the_memo(monkeypatch):
+    law = MOVE_LAWS[MoveKind.CURL_DELETE]
+    monkeypatch.setitem(MOVE_LAWS, MoveKind.CURL_DELETE, law._replace(dx=(1,)))
+    moves._moves_of.cache_clear()
+    for _ in range(2):
+        with pytest.raises(MoveError, match="curl-delete changed the cross chord count by 0"):
+            search_class(CURL, move_set("r1"), SearchConfig(max_chords=2))
 
 
 def test_enumerate_words_counts():

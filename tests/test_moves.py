@@ -301,8 +301,11 @@ def test_no_site_breaks_a_law_small_words():
 
 
 def test_neighbors_propagates_a_broken_law(monkeypatch):
+    # The memo finds sites, through the finder of each move group, only
+    # for words it does not hold yet.
+    moves._moves_of.cache_clear()
     bogus = MoveSite(MoveKind.CURL_DELETE, (0,), ("a",))
-    monkeypatch.setattr(moves, "find_sites", lambda word, kinds: [bogus])
+    monkeypatch.setattr(moves, "_curl_delete_sites", lambda word: [bogus])
     with pytest.raises(MoveError, match="changed the cross chord count"):
         neighbors(TREFOIL, {MoveKind.CURL_DELETE})
 
