@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a verify suite failed, 2 malformed input or
-usage error, 3 word not realizable in the sphere.  All diagnostics go
+usage error, 3 word not realizable in the sphere, 4 a state sum passed
+its frontier budget (no partial answer is printed).  All diagnostics go
 to stderr; machine output (with --json) is a single JSON document on
 stdout.
 """
@@ -24,7 +25,13 @@ from .invariants import (
     invariant_report,
     trivializing_number,
 )
-from .knots import determinant, jones_normalized, kauffman_bracket, positive_resolution
+from .knots import (
+    StateSumBudgetError,
+    determinant,
+    jones_normalized,
+    kauffman_bracket,
+    positive_resolution,
+)
 from .laurent import laurent_format
 from .moves import MOVE_SETS, _apply, find_sites, move_set
 from .words import (
@@ -40,6 +47,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNREALIZABLE = 3
+EXIT_BUDGET = 4
 
 
 def report_to_dict(report: InvariantReport) -> Dict[str, object]:
@@ -400,6 +408,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NotRealizableError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_UNREALIZABLE
+    except StateSumBudgetError as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

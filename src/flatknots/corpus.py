@@ -100,7 +100,7 @@ def reduced_prime_census(n: int) -> Tuple[Word, ...]:
     under Gauss parity and the pair condition (Rosenstiehl 1976; de
     Fraysseix and Ossona de Mendez 1999), as for
     ``enumerate_realizable``, and under the closed block rule of
-    ``words._closed_block``: a proper block closed under partners is a
+    ``words._closed_blocks``: a proper block closed under partners is a
     summand or a curl, so no completion is reduced and prime.  Each rule
     drops whole classes.  The leaves keep the realization certificate
     and the reduced and prime tests; the prime test is one linear pass.

@@ -434,7 +434,7 @@ def _orderly(n: int, rule: int) -> Tuple[Word, ...]:
                 if _breaks_gauss(mask, masks, closed):
                     continue
                 masks[rank] = mask
-                # The law of ``words._closed_block``: a proper block ends
+                # The law of ``words._closed_blocks``: a proper block ends
                 # here when this parity was seen before.  One ending at
                 # the last position has a closed complement ending earlier.
                 if (

@@ -8,25 +8,46 @@ predecessors (an A split) or their counterclockwise successors (a B
 split); a state picks one split per crossing, closes the arcs into
 loops, and contributes A^(a - b) * (-A^2 - A^(-2))^(loops - 1).
 
-The sum is taken by a sweep, not by listing the 2^n states (the
-tangle-cutting idea of Bar-Natan, "Fast Khovanov homology
-computations", JKTR 16, 2007).  Crossings are added one at a time in
-chord (first occurrence) order.  After each step the open dart ends
-are the placed ends whose arc partner is not placed yet, and the
-frontier is their pairing: two open ends are paired when a path of
-split joins and closed arcs runs between them.  Each frontier keeps a
-tally (B splits, closed loops) -> number of partial states.  Adding a
-crossing joins its four dart ends in pairs by the chosen split; every
-arc whose two ends are then both placed either closes a loop (its ends
-were paired) or joins two paths into one.  Once all crossings are in,
-the frontier is empty and the bracket is built from the one remaining
-tally, so the work follows the number of frontiers, not 2^n.
+The bracket multiplies over the prime factors of the word, the blocks
+that ``words._closed_blocks`` cuts out.  Let a closed block A run along
+the curve from point x to point y, and let B be the rest of the curve.
+B meets A only at x and y, so it runs inside one face of the sphere cut
+along A, and an arc in that face from y back to x closes A into a curve
+that crosses itself exactly where A does.  At each of those crossings
+the four dart ends leave in the same directions as on the whole curve,
+so the rotation bits and over strands of A's chords, read off the whole
+diagram, realize and resolve A's word; the same holds for B.  In any
+state the split paths through A's crossings leave A only at x and y,
+so exactly one of them runs from x to y, and the state's loops are
+those inside A, those inside B and one through x and y.  Closing A
+alone gives the loops inside A and one more, and so for B.  The loop
+count of the whole is thus the factors' sum less one and the B splits
+add, so the bracket, normalized to 1 on the empty word, is the product
+of the factors' brackets.
+
+Each factor's sum is taken by a sweep, not by listing the 2^n states
+(the tangle-cutting idea of Bar-Natan, "Fast Khovanov homology
+computations", JKTR 16, 2007).  Crossings are added one at a time.
+After each step the open dart ends are the placed ends whose arc
+partner is not placed yet, and the frontier is their pairing: two open
+ends are paired when a path of split joins and closed arcs runs between
+them.  Each frontier keeps a tally (B splits, closed loops) -> number
+of partial states.  Adding a crossing joins its four dart ends in pairs
+by the chosen split; every arc whose two ends are then both placed
+either closes a loop (its ends were paired) or joins two paths into one.
+Once all crossings are in, the frontier is empty and the bracket is
+built from the one remaining tally.  Every state is counted once with
+its B splits and loops whatever the order, so the order only sets the
+cost, which follows the number of frontiers.  The order is greedy: the
+next crossing is the one that leaves the fewest open ends, the first in
+chord order on a tie.  A sweep that needs more than ``MAX_FRONTIERS``
+frontiers stops with ``StateSumBudgetError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from .embedding import realize, vertex_rotations
 from .laurent import (
@@ -36,11 +57,22 @@ from .laurent import (
     laurent_trim,
     monomial,
 )
-from .words import Word, chord_count, letters, positions, validate_word
+from .words import Word, _closed_blocks, chord_count, letters, positions, validate_word
+
+# The most frontiers a sweep may hold after any step, ten times the 429
+# that the torus closure T(7,8) needs (twist_family(28) needs 2).  On a
+# 2-CPU Xeon with Python 3.11, T(8,9) peaks at 1,430 and takes about 2 s
+# at 43 MB; T(9,10) would need 4,862, 9 s and 165 MB, and stops here
+# after 0.6 s.
+MAX_FRONTIERS = 4096
 
 
 class DiagramError(ValueError):
     """The over-strand assignment does not fit the word."""
+
+
+class StateSumBudgetError(RuntimeError):
+    """A sweep needed more than ``MAX_FRONTIERS`` frontiers; nothing is returned."""
 
 
 @dataclass(frozen=True)
@@ -148,13 +180,36 @@ _Tally = Dict[Tuple[int, int], int]
 _DELTA: Laurent = {2: -1, -2: -1}
 
 
+def _greedy_order(darts: Sequence[Set[int]]) -> List[int]:
+    """Crossing indices, each leaving the fewest open dart ends, ties by index.
+
+    ``darts[c]`` holds the four dart ends of crossing c.  ``closing[c]``
+    counts those whose arc partner is placed, plus the arcs that start
+    and end at c, so adding c opens 4 - 2 * closing[c] more ends.
+    """
+    owner = {d: c for c, ends in enumerate(darts) for d in ends}
+    closing = [sum(owner[d ^ 1] == c for d in ends) // 2 for c, ends in enumerate(darts)]
+    pending = list(range(len(darts)))
+    order = []
+    while pending:
+        c = max(pending, key=closing.__getitem__)
+        pending.remove(c)
+        order.append(c)
+        for d in darts[c]:
+            closing[owner[d ^ 1]] += 1
+    return order
+
+
 def _sweep(diagram: Diagram) -> _Tally:
     """(B splits, loops) -> state count, over every split of every crossing."""
+    split_pairs = _split_pairs(diagram)
+    darts_at = [{d for join in joins for d in join} for joins in split_pairs]
     placed: Set[int] = set()
     ends: Tuple[int, ...] = ()
     frontier: Dict[Tuple[int, ...], _Tally] = {(): {(0, 0): 1}}
-    for joins in _split_pairs(diagram):
-        darts = {d for join in joins for d in join}
+    for step, crossing in enumerate(_greedy_order(darts_at), 1):
+        joins = split_pairs[crossing]
+        darts = darts_at[crossing]
         placed |= darts
         # Arcs whose two ends are both placed from now on, each met once.
         arcs = [
@@ -183,15 +238,29 @@ def _sweep(diagram: Diagram) -> _Tally:
                 for (b_count, loops), count in tally.items():
                     key = (b_count + split, loops + closed)
                     bucket[key] = bucket.get(key, 0) + count
+        if len(swept) > MAX_FRONTIERS:
+            raise StateSumBudgetError(
+                f"state sum needs more than {MAX_FRONTIERS} frontiers"
+                f" after {step} of {len(split_pairs)} crossings"
+            )
         frontier, ends = swept, next_ends
     return frontier[()]
 
 
-def kauffman_bracket(diagram: Diagram) -> Laurent:
-    """State sum over all splits, normalized to 1 on the empty word."""
-    n = diagram.crossings
-    if n == 0:
-        return laurent_one()
+def _factors(diagram: Diagram) -> Iterator[Diagram]:
+    """The diagram restricted to each prime factor of its word."""
+    index = {label: i for i, label in enumerate(letters(diagram.word))}
+    for block in _closed_blocks(diagram.word):
+        chords = [index[label] for label in letters(block)]
+        yield Diagram(
+            word=block,
+            bits=tuple(diagram.bits[i] for i in chords),
+            over_first=tuple(diagram.over_first[i] for i in chords),
+        )
+
+
+def _prime_bracket(diagram: Diagram) -> Laurent:
+    """The state sum of one factor, from its sweep."""
     tally = _sweep(diagram)
     delta_powers = [laurent_one()]
     for _ in range(max(loops for _, loops in tally) - 1):
@@ -199,9 +268,22 @@ def kauffman_bracket(diagram: Diagram) -> Laurent:
     bracket: Laurent = {}
     for (b_count, loops), count in tally.items():
         for exponent, coefficient in delta_powers[loops - 1].items():
-            e = n - 2 * b_count + exponent
+            e = diagram.crossings - 2 * b_count + exponent
             bracket[e] = bracket.get(e, 0) + count * coefficient
     return laurent_trim(bracket)
+
+
+def kauffman_bracket(diagram: Diagram) -> Laurent:
+    """State sum over all splits, normalized to 1 on the empty word.
+
+    The product of the brackets of the prime factors, each swept in
+    greedy order (see the module docstring).  Raises
+    ``StateSumBudgetError`` when a sweep passes ``MAX_FRONTIERS``.
+    """
+    bracket = laurent_one()
+    for factor in _factors(diagram):
+        bracket = laurent_mul(bracket, _prime_bracket(factor))
+    return bracket
 
 
 def jones_normalized(diagram: Diagram) -> Laurent:

@@ -10,7 +10,7 @@ word denotes the simple closed curve.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 Word = Tuple[str, ...]
 
@@ -273,50 +273,51 @@ def _partners(word: Sequence[str]) -> list:
     return [(p - d) % len(word) for p, d in enumerate(_back_distances(word))]
 
 
-def _closed_block(w: Word) -> "tuple[int, int] | None":
-    """The first proper block ``w[i:j]`` closed under chord partners, or None.
+def _closed_blocks(w: Word) -> Iterator[Word]:
+    """The prime factors of ``w`` as raw blocks, with their own labels.
 
     A block holds every chord 0 or 2 times exactly when the parity
-    bitsets (the chords met once) of ``w[:i]`` and ``w[:j]`` agree, so
-    one pass finds the least j whose parity was seen before.  A closed
-    block that wraps has a closed complement that does not.  The block
-    found is prime: a closed block inside it would repeat a parity before j.
+    bitsets (the chords met once) of the prefixes before and after it
+    agree, so the least j whose parity was seen before, at i, ends the
+    first closed block ``w[i:j]``.  A closed block that wraps has a
+    closed complement that does not.  The block found is prime: a closed
+    block inside it would repeat a parity before j.  It is cut out and
+    the pass goes on over the rest, whose prefix parities are those of
+    ``w`` with the block skipped, so each position is read once and no
+    call recurses.  The last block yielded is what is left when the
+    word closes: the whole word when it is prime, nothing when empty.
     """
     bits: Dict[str, int] = {}
-    first = {0: 0}
+    rest: List[str] = []
     parity = 0
-    for j in range(1, len(w)):
-        parity ^= bits.setdefault(w[j - 1], 1 << len(bits))
+    parities = [parity]  # parities[k]: the chords met once in rest[:k]
+    first = {parity: 0}
+    for label in w:
+        parity ^= bits.setdefault(label, 1 << len(bits))
+        rest.append(label)
+        j = len(rest)
         i = first.setdefault(parity, j)
         if i < j:
-            return i, j
-    return None
+            yield tuple(rest[i:])
+            for cut in parities[i + 1 :]:
+                del first[cut]
+            del rest[i:], parities[i + 1 :]
+        else:
+            parities.append(parity)
 
 
 def is_prime(word: Sequence[str]) -> bool:
     """True when the word is nonempty and not a nontrivial splice."""
     w = tuple(word)
     validate_word(w)
-    return bool(w) and _closed_block(w) is None
+    return next(_closed_blocks(w), None) == w
 
 
 def prime_decompose(word: Sequence[str]) -> Tuple[Word, ...]:
-    """Canonical prime factors, sorted by (size, word); () for the empty word.
-
-    The first closed block (``_closed_block``) is a prime factor, so
-    blocks are split off until none is left, and the rest is prime.
-    """
+    """Canonical prime factors, sorted by (size, word); () for the empty word."""
     w = tuple(word)
     validate_word(w)
-    if not w:
-        return ()
-    factors = []
-    while (found := _closed_block(w)) is not None:
-        i, j = found
-        factors.append(w[i:j])
-        w = w[:i] + w[j:]
-    factors.append(w)
-    shapes = [_canonical_cached(rank_word(f)) for f in factors]
+    shapes = [_canonical_cached(rank_word(f)) for f in _closed_blocks(w)]
     return tuple(sorted(shapes, key=lambda f: (len(f), f)))
 
 

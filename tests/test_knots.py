@@ -7,12 +7,15 @@ from pathlib import Path
 
 import pytest
 
+from flatknots import cli, knots
+from flatknots.corpus import load_corpus
 from flatknots.embedding import NotRealizableError, realize
 from flatknots.explore import enumerate_realizable, twist_family
 from flatknots.knots import (
     _sweep,
     Diagram,
     DiagramError,
+    StateSumBudgetError,
     alternating_determinant,
     alternating_diagram,
     determinant,
@@ -27,7 +30,17 @@ from flatknots.moves import MoveKind, apply_move, find_sites
 from flatknots.words import connected_sum
 
 from oracles import bracket_state_sum, goeritz_determinant, seifert_circles
-from sample_words import CURL, FIGURE8, NONREALIZABLE_2, TREFOIL
+from sample_words import CURL, FIGURE8, NONREALIZABLE_2, TREFOIL, chain_sum, torus_closure
+
+# Brackets of the positive resolutions of torus closures, taken by the
+# sweep in first-occurrence order over the whole word, before the sweep
+# split words into prime factors and ordered crossings greedily.
+TORUS_BRACKETS = {
+    (3, 7): {-14: -1, 10: 1, 18: 1},
+    (4, 5): {-7: 1, 1: 1, 5: -1, 13: -1, 21: -1},
+    (3, 10): {-20: -1, 16: 1, 24: 1},
+    (6, 7): {1: 1, 9: 1, 17: 1, 21: -1, 29: -1, 37: -1, 45: -1},
+}
 
 
 def test_laurent_basic_arithmetic():
@@ -241,3 +254,102 @@ def test_bracket_of_fully_flipped_resolution_mirrors():
     assert kauffman_bracket(flipped) == {
         -e: c for e, c in kauffman_bracket(diagram).items()
     }
+
+
+def _torus_knot_jones(p, q):
+    """t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2), as t-power -> coefficient."""
+    rest = {0: 1, p + 1: -1, q + 1: -1, p + q: 1}
+    quotient = {}
+    for e in range(p + q - 1):
+        c = rest.pop(e, 0)
+        if c:
+            quotient[e + (p - 1) * (q - 1) // 2] = c
+            rest[e + 2] = rest.get(e + 2, 0) + c
+    assert not any(rest.values())
+    return quotient
+
+
+def test_torus_closure_brackets_match_frozen_values_and_the_torus_knot_jones():
+    for (p, q), expected in TORUS_BRACKETS.items():
+        word = torus_closure(p, q)
+        assert len(word) == 2 * (p - 1) * q
+        assert kauffman_bracket(positive_resolution(word)) == expected, (p, q)
+    for p, q in ((3, 7), (4, 5), (3, 10), (5, 8)):
+        jones = jones_normalized(positive_resolution(torus_closure(p, q)))
+        # A = t^(-1/4), up to the mirror image that the realization picks.
+        assert _torus_knot_jones(p, q) in (
+            {-e // 4: c for e, c in jones.items()},
+            {e // 4: c for e, c in jones.items()},
+        ), (p, q)
+
+
+def _splice_all(rng, summands):
+    """The summands spliced one by one, each at a random slot."""
+    word = ()
+    for summand in summands:
+        word = connected_sum(word, summand, rng.randrange(len(word) + 1))
+    return word
+
+
+def test_bracket_of_sums_with_curls_matches_state_sum_oracle():
+    rng = random.Random(21)
+    primes = [entry.word for entry in load_corpus() if 3 <= len(entry.word) // 2 <= 4]
+    words = [_splice_all(rng, rng.sample(primes, 2) + [CURL] * curls) for curls in (0, 1, 2, 2)]
+    words.append(connected_sum(connected_sum(TREFOIL, FIGURE8, 2), CURL, 5))
+    for word in words:
+        n = len(word) // 2
+        assert n <= 10
+        positive = positive_resolution(word)
+        alternating = alternating_diagram(word)
+        for diagram in (
+            positive,
+            alternating,
+            mirror_diagram(alternating),
+            resolve(word, [rng.random() < 0.5 for _ in range(n)]),
+        ):
+            expected = bracket_state_sum(word, diagram.bits, diagram.over_first)
+            assert kauffman_bracket(diagram) == expected, (word, diagram.over_first)
+    # One sum at 14 crossings, where the oracle lists 16,384 states.
+    fives = [entry.word for entry in load_corpus() if len(entry.word) == 10]
+    word = _splice_all(rng, fives + [CURL] * 4)
+    assert len(word) == 28
+    diagram = resolve(word, [rng.random() < 0.5 for _ in range(14)])
+    assert kauffman_bracket(diagram) == bracket_state_sum(word, diagram.bits, diagram.over_first)
+
+
+def test_determinant_of_random_sums_is_the_product_and_the_goeritz_count():
+    rng = random.Random(5)
+    primes = [entry.word for entry in load_corpus() if entry.word]
+    for parts in (2, 3, 4, 6, 8):
+        summands = [rng.choice(primes) for _ in range(parts)]
+        word = _splice_all(rng, summands)
+        product = 1
+        for prime in summands:
+            product *= alternating_determinant(prime)
+        assert alternating_determinant(word) == product, summands
+        assert goeritz_determinant(word, realize(word).bits) == product, summands
+
+
+def test_bracket_of_four_hundred_curls_is_a_power_of_the_curl():
+    word = chain_sum([CURL] * 400)
+    assert kauffman_bracket(positive_resolution(word)) == {1200: 1}
+
+
+def test_sweep_past_the_frontier_budget_raises(monkeypatch):
+    word = torus_closure(3, 10)
+    monkeypatch.setattr(knots, "MAX_FRONTIERS", 4)  # T(3,10) peaks at 5
+    with pytest.raises(StateSumBudgetError, match="more than 4 frontiers"):
+        kauffman_bracket(positive_resolution(word))
+    monkeypatch.setattr(knots, "MAX_FRONTIERS", 5)
+    assert kauffman_bracket(positive_resolution(word)) == TORUS_BRACKETS[3, 10]
+
+
+@pytest.mark.parametrize("action", ["bracket", "det"])
+def test_cli_maps_the_budget_error_to_its_exit_code(monkeypatch, capsys, action):
+    monkeypatch.setattr(knots, "MAX_FRONTIERS", 4)
+    code = cli.main(["knots", action, " ".join(torus_closure(3, 10))])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BUDGET == 4
+    assert out == ""
+    assert err.startswith("budget exceeded: state sum needs more than 4 frontiers")
+    assert err.count("\n") == 1
