@@ -46,40 +46,24 @@ def move_deltas(word: Word, after: Word) -> Tuple[int, int, int]:
     )
 
 
-def _orbit_under_curls(word: Word, max_chords: int, max_states: int = 500) -> Tuple[Word, ...]:
-    result = search_class(
-        word,
-        move_set("r1"),
-        SearchConfig(max_chords=max_chords, max_states=max_states),
+def _one_triangle_images(word: Word) -> frozenset:
+    """Curl normal forms one triangle move away from the curl normal form of ``word``."""
+    return frozenset(
+        r1_normal_form(after)
+        for _, after in neighbors(r1_normal_form(word), move_set("both") - move_set("r1"))
     )
-    return tuple(sorted(result.words))
-
-
-def _one_triangle_images(word: Word, max_chords: int) -> frozenset:
-    """Curl reduced forms reachable by curls plus exactly one triangle."""
-    images = set()
-    triangle_kinds = (
-        MoveKind.STRONG_CONTRACT,
-        MoveKind.STRONG_EXPAND,
-        MoveKind.WEAK_SLIDE,
-    )
-    for staged in _orbit_under_curls(word, max_chords):
-        for _, after in neighbors(staged, triangle_kinds):
-            images.add(r1_normal_form(after))
-    return frozenset(images)
 
 
 def table_adjacency(entries: Sequence[CorpusEntry]) -> List[Tuple[str, str]]:
     """Pairs related by finitely many curl moves and one triangle move.
 
-    Sound, window-bounded: each edge has an explicit witness inside a
-    one-extra-chord window around the larger word; absence of an edge
-    only means none was found in that window.
+    An edge deletes curls from one entry down to its curl normal form,
+    applies one triangle move, then deletes curls down to the other
+    entry's normal form, so each edge has an explicit witness.  No edge
+    means that no triangle move on either normal form lands, after curl
+    deletions, on the other.
     """
-    images = {
-        entry.name: _one_triangle_images(entry.word, chord_count(entry.word) + 1)
-        for entry in entries
-    }
+    images = {entry.name: _one_triangle_images(entry.word) for entry in entries}
     normal = {entry.name: r1_normal_form(entry.word) for entry in entries}
     edges = []
     for i, first in enumerate(entries):

@@ -199,6 +199,23 @@ def _triangle_sites(w: Word) -> List[MoveSite]:
     return sites
 
 
+# The move groups, one per site finder, in the order ``MoveKind`` declares
+# them: ``_triangle_sites`` finds the three triangle kinds at once.
+_CURL_ADDS = frozenset({MoveKind.CURL_ADD})
+_CURL_DELETES = frozenset({MoveKind.CURL_DELETE})
+_GROUPS = (_CURL_ADDS, _CURL_DELETES, MOVE_SETS["both"] - MOVE_SETS["r1"])
+
+
+def _group_sites(w: Word, kinds: FrozenSet[MoveKind]) -> List[MoveSite]:
+    """The sites of ``kinds``, a nonempty part of one move group, by kind and then by position."""
+    if kinds == _CURL_ADDS:
+        return _curl_add_sites(w)
+    if kinds == _CURL_DELETES:
+        return _curl_delete_sites(w)
+    found = _triangle_sites(w)
+    return [site for kind in MoveKind if kind in kinds for site in found if site.kind is kind]
+
+
 def find_sites(word: Sequence[str], kinds: Iterable[MoveKind]) -> List[MoveSite]:
     """Every site of the requested kinds: the one statement of where a move applies.
 
@@ -208,16 +225,7 @@ def find_sites(word: Sequence[str], kinds: Iterable[MoveKind]) -> List[MoveSite]
     w = tuple(word)
     validate_word(w)
     wanted = frozenset(kinds)
-    found: Dict[MoveKind, List[MoveSite]] = {kind: [] for kind in MoveKind}
-    if MoveKind.CURL_ADD in wanted:
-        found[MoveKind.CURL_ADD] = _curl_add_sites(w)
-    if MoveKind.CURL_DELETE in wanted:
-        found[MoveKind.CURL_DELETE] = _curl_delete_sites(w)
-    if wanted - {MoveKind.CURL_ADD, MoveKind.CURL_DELETE}:
-        for site in _triangle_sites(w):
-            found[site.kind].append(site)
-    # Each finder lists its sites by position.
-    return [site for kind in MoveKind if kind in wanted for site in found[kind]]
+    return [site for group in _GROUPS if (part := group & wanted) for site in _group_sites(w, part)]
 
 
 def apply_move(word: Sequence[str], site: MoveSite) -> Word:
@@ -274,20 +282,12 @@ def _apply(w: Word, site: MoveSite, label: Optional[str] = None) -> Tuple[Word, 
     return result, shape
 
 
-# The move groups, one per site finder: ``_triangle_sites`` finds the
-# three triangle kinds at once.
-_CURL_ADDS = frozenset({MoveKind.CURL_ADD})
-_CURL_DELETES = frozenset({MoveKind.CURL_DELETE})
-_TRIANGLE_KINDS = (MoveKind.STRONG_CONTRACT, MoveKind.STRONG_EXPAND, MoveKind.WEAK_SLIDE)
-_GROUPS = (_CURL_ADDS, _CURL_DELETES, frozenset(_TRIANGLE_KINDS))
-
-
 @lru_cache(maxsize=4096)
 def _moves_of(w: Word, kinds: FrozenSet[MoveKind]) -> Tuple[Tuple[MoveSite, Word, Word], ...]:
     """The memo of the move graph: (site, result, shape) for every site of ``w`` of ``kinds``.
 
     ``w`` is a valid word and ``kinds`` a nonempty part of one move
-    group.  The sites come from the group's finder in the order
+    group.  The sites come from ``_group_sites``, in the order
     ``find_sites`` gives them, and each is applied through ``_apply``,
     so every law is checked when an entry is first computed; a
     MoveError propagates and, as ``lru_cache`` stores no exception, is
@@ -305,15 +305,8 @@ def _moves_of(w: Word, kinds: FrozenSet[MoveKind]) -> Tuple[Tuple[MoveSite, Word
     memo of n chord words holds at most about 4,096 times that: 38 MB
     at n = 8, 310 MB at n = 30.
     """
-    if kinds == _CURL_ADDS:
-        label = fresh_label(w)
-        return tuple((site, *_apply(w, site, label)) for site in _curl_add_sites(w))
-    if kinds == _CURL_DELETES:
-        sites = _curl_delete_sites(w)
-    else:
-        found = _triangle_sites(w)
-        sites = [site for kind in _TRIANGLE_KINDS if kind in kinds for site in found if site.kind is kind]
-    return tuple((site, *_apply(w, site)) for site in sites)
+    label = fresh_label(w) if kinds == _CURL_ADDS else None
+    return tuple((site, *_apply(w, site, label)) for site in _group_sites(w, kinds))
 
 
 def _moves_from(w: Word, kinds: FrozenSet[MoveKind]) -> Iterator[Tuple[MoveSite, Word, Word]]:

@@ -7,9 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from flatknots import MOVE_LAWS, MoveKind, move_set, search_class
+from flatknots import MOVE_LAWS, MoveKind, SearchConfig, enumerate_realizable, move_set, neighbors, search_class
+from flatknots.checks import table_adjacency
 from flatknots.cli import main
-from flatknots.words import connected_sum
+from flatknots.corpus import CorpusEntry
+from flatknots.invariants import r1_normal_form
+from flatknots.words import chord_count, connected_sum
 
 TREFOIL_TEXT = "a b c a b c"
 TREFOIL_WORD = tuple(TREFOIL_TEXT.split())
@@ -163,6 +166,40 @@ def test_table_json_matches_the_frozen_file_byte_for_byte(capsys):
     code, out, _ = run(capsys, "table", "--json")
     assert code == 0
     assert out.encode("utf-8") == FROZEN_TABLE_JSON.read_bytes()
+
+
+def _images_through_curl_orbits(word):
+    # The reference rule: every word that curl moves reach within one
+    # extra chord, then one triangle move, then curl deletions.
+    orbit = search_class(word, move_set("r1"), SearchConfig(max_chords=chord_count(word) + 1))
+    triangles = move_set("both") - move_set("r1")
+    return {r1_normal_form(after) for staged in orbit.words for _, after in neighbors(staged, triangles)}
+
+
+def test_table_adjacency_matches_the_curl_orbit_rule():
+    # Every realizable word with n <= 6, curls included, as one corpus.
+    words = [word for n in range(7) for word in enumerate_realizable(n)]
+    entries = [CorpusEntry(f"w{i:02d}", word, i) for i, word in enumerate(words)]
+    images = {entry.name: _images_through_curl_orbits(entry.word) for entry in entries}
+    normal = {entry.name: r1_normal_form(entry.word) for entry in entries}
+    expected = [
+        (first.name, second.name)
+        for i, first in enumerate(entries)
+        for second in entries[i + 1 :]
+        if normal[second.name] in images[first.name] or normal[first.name] in images[second.name]
+    ]
+    assert (len(entries), len(expected)) == (69, 863)
+    assert table_adjacency(entries) == expected
+
+
+def test_table_over_a_corpus_with_a_curl(capsys, tmp_path):
+    # t is the trefoil with a curl spliced in; its curl normal form is
+    # one triangle move from the figure eight.
+    path = tmp_path / "curl.txt"
+    path.write_text("t: a b c a b c d d\nf: a b c a d c b d\n5_1: a b c d e a b c d e\n")
+    code, out, _ = run(capsys, "table", "--corpus", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["one_triangle_edges"] == [["f", "t"]]
 
 
 VERIFY_STDOUT = {
