@@ -171,12 +171,7 @@ def _suite_twist(run: SuiteRun) -> None:
         "X gains 1 at odd n; X = " + " ".join(str(xs[n]) for n in range(1, 9)),
     )
     for n in (1, 3):
-        res = equivalence_query(
-            words[n],
-            words[n + 1],
-            moves_name="weak",
-            config=SearchConfig(max_chords=chord_count(words[n + 1]) + 1),
-        )
+        res = equivalence_query(words[n], words[n + 1], moves_name="weak")
         ok = (
             res.verdict == "equivalent"
             and res.path is not None
@@ -188,12 +183,7 @@ def _suite_twist(run: SuiteRun) -> None:
             ok,
             f"T({n}) ~ T({n + 1}) by a weak path of <= 2 moves",
         )
-    res = equivalence_query(
-        words[2],
-        words[3],
-        moves_name="strong",
-        config=SearchConfig(max_chords=chord_count(words[3]) + 1),
-    )
+    res = equivalence_query(words[2], words[3], moves_name="strong")
     run.record(
         "twist-strong-step",
         res.verdict == "equivalent" and res.path is not None and len(res.path) <= 2,

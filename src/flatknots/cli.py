@@ -27,8 +27,8 @@ from .invariants import (
 )
 from .knots import (
     StateSumBudgetError,
+    _writhe_normalized,
     determinant,
-    jones_normalized,
     kauffman_bracket,
     positive_resolution,
 )
@@ -232,7 +232,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         else:
             print(format_word(word))
         return EXIT_OK
-    if args.max_n < 0:
+    if args.max_n is not None and args.max_n < 0:
         print(f"explore: --max-n must be >= 0, not {args.max_n}", file=sys.stderr)
         return EXIT_USAGE
     if args.max_states < 1:
@@ -302,7 +302,7 @@ def _cmd_knots(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.action == "bracket":
         bracket = kauffman_bracket(diagram)
-        normalized = jones_normalized(diagram)
+        normalized = _writhe_normalized(bracket, diagram.writhe)
         if args.json:
             _print_json(
                 {
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_equiv.add_argument("word")
     p_equiv.add_argument("other")
     p_equiv.add_argument("--moves", default="both", choices=move_names)
-    p_equiv.add_argument("--max-n", type=int, default=8, dest="max_n")
+    p_equiv.add_argument("--max-n", type=int, dest="max_n")
     p_equiv.add_argument("--max-states", type=int, default=SearchConfig.max_states, dest="max_states")
     p_equiv.add_argument("--json", action="store_true")
     p_equiv.set_defaults(func=_cmd_explore)

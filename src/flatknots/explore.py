@@ -4,17 +4,18 @@ Classes under move sets that include curl insertion are infinite, so
 searches run inside a window, stated once in ``_grow``, the breadth
 first step of every search: no curl addition from a state at or above
 the chord cap, no result above it, and a new state only while the
-searched trees hold fewer than ``max_states`` states together.  A
+searched trees hold fewer than ``max_states`` states together.  An open
+chord cap is two chords more than the larger end (``_window``).  A
 completed path certifies equivalence; exhausting the window certifies
 nothing, and the result says so.  Equivalence queries grow trees from
 both ends and stop where they meet.  That joins the same words as a
 search from one end, because each move set holds the inverse of every
 move in it and the chord cap is the same from either end.  The path is
-a shortest one inside the window.  Some move sets carry complete or
-partial invariants that decide inequivalence outright: the curl
-reduced normal form for curl moves alone, and the cross chord residue
-mod 3, the clique union flag and the trivializing number wherever
-``moves.MOVE_LAWS`` keeps them for every move in the set.
+a shortest one inside the window.  The rows of ``_REFUTATIONS`` decide
+inequivalence outright: the curl reduced normal form, complete for
+curl moves alone, and the cross chord residue mod 3, the clique union
+flag and the trivializing number wherever ``moves.MOVE_LAWS`` keeps
+them for every move in the set.
 
 Every search reads the moves of a word from the memo of the move graph
 in ``moves``, so each (word, site) that the searches of one process
@@ -23,8 +24,8 @@ meet is found, applied and law-checked once while the memo holds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .embedding import _breaks_gauss, _realize_cached, faces
 from .invariants import (
@@ -35,7 +36,9 @@ from .invariants import (
     r1_normal_form,
     trivializing_number,
 )
-from .moves import MOVE_LAWS, MoveError, MoveKind, MoveSite, _apply, _moves_from, find_sites, move_set
+from .moves import (
+    MOVE_LAWS, MOVE_SETS, MoveError, MoveKind, MoveSite, _apply, _moves_from, find_sites, move_set,
+)
 from .words import (
     Word,
     _back_distances,
@@ -51,10 +54,17 @@ from .words import (
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Window for bounded class search."""
+    """Window for bounded class search; ``_window`` resolves ``max_chords=None``."""
 
-    max_chords: int = 6
+    max_chords: Optional[int] = 6
     max_states: int = 200000
+
+
+def _window(config: SearchConfig, *ends: Word) -> SearchConfig:
+    """``config`` with an open chord cap set to two more than the larger end."""
+    if config.max_chords is not None:
+        return config
+    return replace(config, max_chords=max(chord_count(w) for w in ends) + 2)
 
 
 @dataclass(frozen=True)
@@ -184,6 +194,7 @@ def search_class(
     """
     start = canonical(word)
     kind_set = frozenset(kinds)
+    config = _window(config, start)
     tree: _Tree = {start: None}
     frontier = [start]
     truncated = False
@@ -256,13 +267,23 @@ class EquivalenceResult:
         return payload
 
 
-# Invariants that refute equivalence under a move set when every move
-# law in it keeps them: the cross chord residue mod 3, H and tr.
+def _kept(law_keeps: Callable[..., bool]) -> Callable[[FrozenSet[MoveKind]], bool]:
+    """Whether every law of a move set keeps an invariant."""
+    return lambda kinds: all(law_keeps(MOVE_LAWS[kind]) for kind in kinds)
+
+
+# Invariants that refute equivalence under the move sets that keep them,
+# in order: the curl reduced normal form, which decides curl moves alone
+# completely, then the cross chord residue mod 3, H and tr wherever every
+# move law in the set keeps them.
 _REFUTATIONS = (
-    (lambda law: all(d % 3 == 0 for d in law.dx), lambda w: cross_chord_number(w) % 3,
+    (lambda kinds: kinds <= MOVE_SETS["r1"], lambda w: format_word(r1_normal_form(w)),
+     "curl reduced normal forms differ: {} vs {}"),
+    (_kept(lambda law: all(d % 3 == 0 for d in law.dx)), lambda w: cross_chord_number(w) % 3,
      "cross chord residues mod 3 differ: {} vs {}"),
-    (lambda law: law.keeps_h, h_invariant, "clique union flags differ: H={} vs H={}"),
-    (lambda law: law.dtr == (0,), trivializing_number, "trivializing numbers differ: {} vs {}"),
+    (_kept(lambda law: law.keeps_h), h_invariant, "clique union flags differ: H={} vs H={}"),
+    (_kept(lambda law: law.dtr == (0,)), trivializing_number,
+     "trivializing numbers differ: {} vs {}"),
 )
 
 
@@ -270,7 +291,7 @@ def equivalence_query(
     first: Sequence[str],
     second: Sequence[str],
     moves_name: str = "both",
-    config: "SearchConfig | None" = None,
+    config: SearchConfig = SearchConfig(max_chords=None),
 ) -> EquivalenceResult:
     """Decide, refute, or give up on equivalence under a named move set.
 
@@ -285,51 +306,29 @@ def equivalence_query(
     reaches inside the window are joined by the same moves read
     backwards.  The path found is a shortest one inside the window, and
     ``max_states`` bounds the states of both ends together.  Both ends
-    are searched from even when they lie above the chord cap.
+    are searched from even when they lie above the chord cap, which by
+    default is two chords more than the larger end.
     """
     a = canonical(first)
     b = canonical(second)
     kinds = move_set(moves_name)
-    if config is None:
-        config = SearchConfig(
-            max_chords=max(chord_count(a), chord_count(b)) + 2
-        )
-
-    if moves_name == "r1":
-        # The curl reduced normal form decides this move set completely,
-        # so no invariant the laws keep can refute more.
-        na, nb = r1_normal_form(a), r1_normal_form(b)
-        if na != nb:
-            return EquivalenceResult(
-                "not-equivalent",
-                f"curl reduced normal forms differ: {' '.join(na) or '-'} vs {' '.join(nb) or '-'}",
-                None,
-            )
-    else:
-        for keeps, invariant, reason in _REFUTATIONS:
-            if all(keeps(MOVE_LAWS[kind]) for kind in kinds):
-                va, vb = invariant(a), invariant(b)
-                if va != vb:
-                    return EquivalenceResult("not-equivalent", reason.format(va, vb), None)
+    config = _window(config, a, b)
+    for keeps, invariant, reason in _REFUTATIONS:
+        if keeps(kinds):
+            va, vb = invariant(a), invariant(b)
+            if va != vb:
+                return EquivalenceResult("not-equivalent", reason.format(va, vb), None)
 
     path = _two_ended_search(a, b, kinds, config)
     if path is not None:
-        return EquivalenceResult(
-            "equivalent", f"path of {len(path)} moves found", path
-        )
-    if moves_name == "r1":
+        return EquivalenceResult("equivalent", f"path of {len(path)} moves found", path)
+    if kinds <= MOVE_SETS["r1"]:
         # Normal forms matched, so a path exists; the window was just
         # too small to exhibit it.
-        return EquivalenceResult(
-            "equivalent",
-            "curl reduced normal forms match (no path within the window)",
-            None,
-        )
-    return EquivalenceResult(
-        "unknown",
-        f"no path within chords <= {config.max_chords}, states <= {config.max_states}",
-        None,
-    )
+        reason = "curl reduced normal forms match (no path within the window)"
+        return EquivalenceResult("equivalent", reason, None)
+    reason = f"no path within chords <= {config.max_chords}, states <= {config.max_states}"
+    return EquivalenceResult("unknown", reason, None)
 
 
 def enumerate_words(n: int) -> Tuple[Word, ...]:
@@ -470,16 +469,13 @@ def _orderly(n: int, rule: int) -> Tuple[Word, ...]:
 
 
 def strong_trivial_test(word: Sequence[str]) -> bool:
-    """True when every prime factor is a curl or a trefoil shape.
+    """Membership in the strong class of the empty word.
 
-    Curl factors are filtered from the raw decomposition rather than
-    removed by curl deletion first: a curl wrapped around another
-    summand has no adjacent pair to delete, but it is still a curl
-    factor of the word.
+    The empty word is an admissible base of ``strong_class_test`` (its
+    two faces are empty), so this holds exactly when every prime factor
+    is a curl or a trefoil shape.
     """
-    return all(
-        factor in (TREFOIL_SHAPE, CURL_SHAPE) for factor in prime_decompose(word)
-    )
+    return strong_class_test(word, ())
 
 
 def strong_class_test(word: Sequence[str], base: Sequence[str]) -> bool:
@@ -488,27 +484,25 @@ def strong_class_test(word: Sequence[str], base: Sequence[str]) -> bool:
     The base must realize with no monogons, no coherent bigons, and no
     coherent trigons (ValueError otherwise).  Membership holds when the
     word's prime factors, curls aside, are the base's prime factors
-    plus any number of trefoils.  This is known to disagree with the
-    strong search: it rejects ``twist_family(3)`` against the base
-    ``twist_family(2)``, which ``equivalence_query`` joins by a
+    plus any number of trefoils.  Curl factors are filtered from the
+    raw decomposition, not removed by curl deletion first: a curl
+    wrapped around another summand has no adjacent pair to delete, but
+    it is still a curl factor of the word.  This is known to disagree
+    with the strong search: it rejects ``twist_family(3)`` against the
+    base ``twist_family(2)``, which ``equivalence_query`` joins by a
     two-move strong path.
     """
     b = tuple(base)
     inventory = faces(b)
-    problems = []
-    if inventory.monogons:
-        problems.append(f"{inventory.monogons} monogon(s)")
-    if inventory.coherent_bigons:
-        problems.append(f"{inventory.coherent_bigons} coherent bigon(s)")
-    if inventory.coherent_trigons:
-        problems.append(f"{inventory.coherent_trigons} coherent trigon(s)")
+    counts = (
+        (inventory.monogons, "monogon"),
+        (inventory.coherent_bigons, "coherent bigon"),
+        (inventory.coherent_trigons, "coherent trigon"),
+    )
+    problems = [f"{count} {name}(s)" for count, name in counts if count]
     if problems:
-        raise ValueError(
-            "base word is not admissible, it has " + " and ".join(problems)
-        )
-    remaining = [
-        factor for factor in prime_decompose(tuple(word)) if factor != CURL_SHAPE
-    ]
+        raise ValueError("base word is not admissible, it has " + " and ".join(problems))
+    remaining = [factor for factor in prime_decompose(tuple(word)) if factor != CURL_SHAPE]
     for factor in prime_decompose(b):
         if factor not in remaining:
             return False

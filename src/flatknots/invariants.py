@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .embedding import _realize_cached
 from .words import (
@@ -119,16 +119,24 @@ def h_invariant(word: Sequence[str]) -> int:
 
 
 def reduce_r1(word: Sequence[str]) -> Word:
-    """Delete cyclically adjacent equal pairs until none remain."""
-    w = list(word)
-    validate_word(tuple(w))
-    while True:
-        total = len(w)
-        i = next((k for k in range(total) if w[k] == w[(k + 1) % total]), None)
-        if i is None:
-            return tuple(w)
-        for j in sorted({i, (i + 1) % total}, reverse=True):
-            del w[j]
+    """Delete cyclically adjacent equal pairs until none remain.
+
+    Each label is pushed, or pops its partner off the top.  No two stack
+    neighbours are then equal, so only the ends can pair, across the
+    wrap, and trimming them changes no inner neighbours.
+    """
+    w = tuple(word)
+    validate_word(w)
+    stack: List[str] = []
+    for label in w:
+        if stack and stack[-1] == label:
+            stack.pop()
+        else:
+            stack.append(label)
+    lo, hi = 0, len(stack)
+    while lo < hi and stack[lo] == stack[hi - 1]:
+        lo, hi = lo + 1, hi - 1
+    return tuple(stack[lo:hi])
 
 
 def r1_normal_form(word: Sequence[str]) -> Word:

@@ -288,9 +288,12 @@ def kauffman_bracket(diagram: Diagram) -> Laurent:
 
 def jones_normalized(diagram: Diagram) -> Laurent:
     """The bracket rescaled by the writhe so untwisted curls drop out."""
-    w = diagram.writhe
-    factor = monomial(-3 * w, 1 if w % 2 == 0 else -1)
-    return laurent_mul(factor, kauffman_bracket(diagram))
+    return _writhe_normalized(kauffman_bracket(diagram), diagram.writhe)
+
+
+def _writhe_normalized(bracket: Laurent, w: int) -> Laurent:
+    """``bracket`` times (-A^3)^(-w), the normalization of ``jones_normalized``."""
+    return laurent_mul(monomial(-3 * w, 1 if w % 2 == 0 else -1), bracket)
 
 
 def determinant(diagram: Diagram) -> int:

@@ -7,7 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from flatknots import MOVE_LAWS, MoveKind, SearchConfig, enumerate_realizable, move_set, neighbors, search_class
+from flatknots import (
+    MOVE_LAWS,
+    MoveKind,
+    SearchConfig,
+    enumerate_realizable,
+    equivalence_query,
+    move_set,
+    neighbors,
+    search_class,
+    twist_family,
+)
 from flatknots.checks import table_adjacency
 from flatknots.cli import main
 from flatknots.corpus import CorpusEntry
@@ -406,6 +416,23 @@ def test_explore_class_window_defaults_to_the_search_config(capsys):
     payload = json.loads(out)
     result = search_class(TREFOIL_WORD, move_set("both"))
     assert (payload["count"], payload["truncated"]) == (len(result.words), result.truncated)
+
+
+def test_explore_equiv_window_defaults_to_the_library(capsys):
+    five_two = "a b c a d e b c e d"
+    code, out, _ = run(capsys, "explore", "equiv", TREFOIL_TEXT, five_two, "--moves", "weak", "--json")
+    assert code == 0
+    result = equivalence_query(TREFOIL_WORD, five_two.split(), "weak")
+    assert json.loads(out) == result.to_dict()
+    assert result.reason == "no path within chords <= 7, states <= 200000"
+
+
+def test_explore_equiv_window_grows_with_the_words(capsys):
+    # T(7) and T(8) have 9 and 10 chords, beyond any fixed cap of 8.
+    first, second = (" ".join(twist_family(n)) for n in (7, 8))
+    code, out, _ = run(capsys, "explore", "equiv", first, second, "--moves", "weak")
+    assert code == 0
+    assert out.splitlines()[0] == "equivalent: path of 2 moves found"
 
 
 def test_explore_equiv_verdicts(capsys):

@@ -232,6 +232,23 @@ def test_r1_verdicts_follow_the_normal_form():
     assert verify_path(settled.path)
 
 
+def test_the_curl_normal_form_is_the_first_refutation():
+    # X mod 3 differs too (1 vs 0), but the curl normal form row comes first.
+    assert cross_chord_number(FIGURE8) % 3 != cross_chord_number(()) % 3
+    result = equivalence_query(FIGURE8, (), moves_name="r1")
+    assert result.reason == "curl reduced normal forms differ: a b c a d c b d vs -"
+
+
+def test_an_open_chord_cap_is_two_more_than_the_larger_end():
+    open_cap = SearchConfig(max_chords=None)
+    assert search_class(TREFOIL, move_set("r1"), open_cap).config.max_chords == 5
+    unknown = equivalence_query(TREFOIL, FIGURE8, "weak", SearchConfig(max_chords=None, max_states=1))
+    assert unknown.reason == "no path within chords <= 6, states <= 1"
+    assert equivalence_query(TREFOIL, FIGURE8, "weak") == equivalence_query(
+        TREFOIL, FIGURE8, "weak", SearchConfig(max_chords=6)
+    )
+
+
 def test_r1_equivalence_survives_a_tiny_window():
     result = equivalence_query(
         ("a", "a", "b", "b"),

@@ -168,6 +168,13 @@ def test_reduce_r1_frozen():
     assert reduce_r1(("x", "y", "y", "z", "z", "x")) == ()
     assert reduce_r1(TREFOIL) == TREFOIL
     assert reduce_r1(("a", "b", "b", "c", "a", "c")) == ("a", "c", "a", "c")
+    # 3,000 nested curls, alone and after a part no deletion touches.
+    nested = [f"x{i}" for i in range(3000)]
+    nested += nested[::-1]
+    assert reduce_r1(nested) == ()
+    assert reduce_r1(["p", "q", "p", "q"] + nested) == ("p", "q", "p", "q")
+    # A wrap chain: pairs that meet only across the wrap, one inside the other.
+    assert reduce_r1(("a", "b", "x", "y", "x", "y", "c", "c", "b", "a")) == ("x", "y", "x", "y")
 
 
 def test_reduce_r1_wraparound_pair():
