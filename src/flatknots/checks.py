@@ -11,10 +11,9 @@ against ``moves.MOVE_LAWS``.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .corpus import CorpusEntry
-from .embedding import is_realizable
 from .explore import (
     SearchConfig,
     enumerate_realizable,
@@ -25,8 +24,6 @@ from .explore import (
     verify_path,
 )
 from .invariants import (
-    CURL_SHAPE,
-    TREFOIL_SHAPE,
     cross_chord_number,
     h_invariant,
     r1_normal_form,
@@ -34,7 +31,7 @@ from .invariants import (
 )
 from .knots import determinant, jones_normalized, positive_resolution
 from .moves import MOVE_LAWS, MoveKind, move_set, neighbors
-from .words import Word, canonical, chord_count, connected_sum, format_word, label_for_rank
+from .words import Word, format_word
 
 
 def move_deltas(word: Word, after: Word) -> Tuple[int, int, int]:
@@ -74,17 +71,6 @@ def table_adjacency(entries: Sequence[CorpusEntry]) -> List[Tuple[str, str]]:
             ):
                 edges.append(tuple(sorted((first.name, second.name))))
     return sorted(edges)
-
-
-def _random_word(rng: random.Random, n: int) -> Word:
-    slots: List[Optional[str]] = [None] * (2 * n)
-    free = list(range(2 * n))
-    for index in range(n):
-        label = label_for_rank(index)
-        first = free.pop(0)
-        other = free.pop(rng.randrange(len(free)))
-        slots[first] = slots[other] = label
-    return tuple(s for s in slots if s is not None)
 
 
 class SuiteRun:
@@ -138,19 +124,12 @@ def _suite_deltas(run: SuiteRun, max_n: int = 6, seed: int = 20260819) -> None:
         for word in enumerate_realizable(n):
             checked += _check_deltas_on(word, failures)
     sampled = 0
-    if max_n > 6:
-        rng = random.Random(seed)
-        for n in range(7, max_n + 1):
-            hits = 0
-            for _ in range(2000):
-                if hits >= 25:
-                    break
-                word = _random_word(rng, n)
-                if not is_realizable(word):
-                    continue
-                checked += _check_deltas_on(canonical(word), failures)
-                sampled += 1
-                hits += 1
+    rng = random.Random(seed)
+    for n in range(7, max_n + 1):
+        words = enumerate_realizable(n)
+        for word in rng.sample(words, min(25, len(words))):
+            checked += _check_deltas_on(word, failures)
+            sampled += 1
     detail = f"{checked} site applications, exhaustive n <= {exhaustive_limit}"
     if sampled:
         detail += f", plus {sampled} sampled words up to n = {max_n}"
@@ -191,20 +170,6 @@ def _suite_twist(run: SuiteRun) -> None:
     )
 
 
-def _strong_trivial_targets(cap: int) -> frozenset:
-    """Canonical sums of at most two trefoils and one curl within ``cap``."""
-    sums = [(), TREFOIL_SHAPE] + [
-        connected_sum(TREFOIL_SHAPE, TREFOIL_SHAPE, slot=slot)
-        for slot in range(len(TREFOIL_SHAPE))
-    ]
-    expanded = set()
-    for word in sums:
-        expanded.add(canonical(word))
-        for slot in range(max(1, len(word))):
-            expanded.add(canonical(connected_sum(word, CURL_SHAPE, slot=slot)))
-    return frozenset(w for w in expanded if chord_count(w) <= cap)
-
-
 def _suite_strong_trivial(run: SuiteRun) -> None:
     kinds = (MoveKind.CURL_ADD, MoveKind.STRONG_EXPAND, MoveKind.STRONG_CONTRACT)
     result = search_class((), kinds, SearchConfig(max_chords=7, max_states=10 ** 6))
@@ -215,12 +180,12 @@ def _suite_strong_trivial(run: SuiteRun) -> None:
         f"{len(result.words)} words reached within 7 chords"
         + (f"; first offender {format_word(offenders[0])}" if offenders else ""),
     )
-    targets = _strong_trivial_targets(7)
+    targets = [w for n in range(8) for w in enumerate_realizable(n) if strong_trivial_test(w)]
     missing = [w for w in targets if w not in result.words]
     run.record(
         "targets-reached",
         not missing,
-        f"{len(targets)} trefoil/curl sums within 7 chords"
+        f"{len(targets)} realizable words with n <= 7 pass strong_trivial_test"
         + (f"; first missing {format_word(missing[0])}" if missing else ""),
     )
 

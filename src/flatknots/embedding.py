@@ -60,25 +60,11 @@ class Face:
         return len(self.darts)
 
     @property
-    def is_monogon(self) -> bool:
-        return self.length == 1
-
-    @property
-    def is_coherent_bigon(self) -> bool:
-        # Parallel strands traverse a bigon in opposite boundary walk
-        # directions, hence mixed parities.  Equal corners happen only
-        # for the single-chord word, which has no true bigon strands.
-        return (
-            self.length == 2
-            and self.parities[0] != self.parities[1]
-            and self.corners[0] != self.corners[1]
-        )
-
-    @property
-    def is_coherent_trigon(self) -> bool:
-        # Cyclically oriented sides traverse all three arcs the same
-        # way, hence uniform parities.
-        return self.length == 3 and len(set(self.parities)) == 1
+    def is_coherent(self) -> bool:
+        # The boundary walk meets every side the same way, all along
+        # their arcs or all against them: the sides are cyclically
+        # oriented.  A monogon always is.
+        return len(set(self.parities)) == 1
 
 
 @dataclass(frozen=True)
@@ -90,23 +76,23 @@ class FaceInventory:
 
     @property
     def monogons(self) -> int:
-        return sum(1 for face in self.faces if face.is_monogon)
+        return sum(face.length == 1 for face in self.faces)
 
     @property
     def bigons(self) -> int:
-        return sum(1 for face in self.faces if face.length == 2)
+        return sum(face.length == 2 for face in self.faces)
 
     @property
     def coherent_bigons(self) -> int:
-        return sum(1 for face in self.faces if face.is_coherent_bigon)
+        return sum(face.length == 2 and face.is_coherent for face in self.faces)
 
     @property
     def trigons(self) -> int:
-        return sum(1 for face in self.faces if face.length == 3)
+        return sum(face.length == 3 for face in self.faces)
 
     @property
     def coherent_trigons(self) -> int:
-        return sum(1 for face in self.faces if face.is_coherent_trigon)
+        return sum(face.length == 3 and face.is_coherent for face in self.faces)
 
 
 @dataclass(frozen=True)

@@ -481,16 +481,20 @@ def strong_trivial_test(word: Sequence[str]) -> bool:
 def strong_class_test(word: Sequence[str], base: Sequence[str]) -> bool:
     """Membership in the strong class of a small face free base.
 
-    The base must realize with no monogons, no coherent bigons, and no
-    coherent trigons (ValueError otherwise).  Membership holds when the
-    word's prime factors, curls aside, are the base's prime factors
-    plus any number of trefoils.  Curl factors are filtered from the
-    raw decomposition, not removed by curl deletion first: a curl
-    wrapped around another summand has no adjacent pair to delete, but
-    it is still a curl factor of the word.  This is known to disagree
-    with the strong search: it rejects ``twist_family(3)`` against the
-    base ``twist_family(2)``, which ``equivalence_query`` joins by a
-    two-move strong path.
+    The base must realize with no coherent face of at most three sides
+    (ValueError otherwise), where a face is coherent when its boundary
+    walk meets every side the same way (``Face.is_coherent``).  Each
+    such face opens a strong move: a monogon is a curl to delete, a
+    coherent trigon is a strong triangle, and a curl added on one side
+    of a coherent bigon, its loop outside the bigon, makes the bigon a
+    coherent trigon, where a strong move applies.  The path
+    twist_family(2), curl-add, strong-expand, twist_family(3) is
+    exactly this.  Membership holds when the word's prime factors,
+    curls aside, are the base's prime factors plus any number of
+    trefoils.  Curl factors are filtered from the raw decomposition,
+    not removed by curl deletion first: a curl wrapped around another
+    summand has no adjacent pair to delete, but it is still a curl
+    factor of the word.
     """
     b = tuple(base)
     inventory = faces(b)

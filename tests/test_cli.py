@@ -224,7 +224,8 @@ VERIFY_STDOUT = {
     ),
     "strong-trivial": (
         "PASS strong-trivial/reached-are-trivial: 127 words reached within 7 chords\n"
-        "PASS strong-trivial/targets-reached: 9 trefoil/curl sums within 7 chords\n"
+        "PASS strong-trivial/targets-reached: 127 realizable words with n <= 7 "
+        "pass strong_trivial_test\n"
     ),
     "bracket": (
         "PASS bracket/normalized-units: normalized bracket of the empty word "
@@ -312,6 +313,10 @@ def test_verify_deltas_sampling_note(capsys):
     code, out, _ = run(capsys, "verify", "deltas", "--max-n", "7", "--seed", "11")
     assert code == 0
     assert "sampled words up to n = 7" in out
+    # Each n past the exhaustive range samples 25 realizable words.
+    code, out, _ = run(capsys, "verify", "deltas", "--max-n", "9", "--seed", "11")
+    assert code == 0
+    assert out.endswith(", plus 75 sampled words up to n = 9\n")
 
 
 def test_moves_list_and_apply(capsys):

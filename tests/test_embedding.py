@@ -125,16 +125,19 @@ def test_trefoil_faces():
     assert inventory.lengths() == (2, 2, 2, 3, 3)
     assert inventory.monogons == 0
     assert inventory.coherent_trigons == 2
-    # All three trefoil bigons carry parallel strands (the word holds
-    # the same-order factor pair a b ... a b and its rotations).
-    assert inventory.coherent_bigons == 3
+    # The trefoil bigons carry parallel strands, which the boundary walk
+    # meets in opposite ways (the word holds the same-order factor pair
+    # a b ... a b and its rotations), so none is coherent.
+    assert inventory.coherent_bigons == 0
 
 
 def test_figure_eight_faces():
     inventory = faces(FIGURE8)
     assert inventory.lengths() == (2, 2, 3, 3, 3, 3)
     assert inventory.monogons == 0
-    assert inventory.coherent_bigons == 0
+    # Both bigons are cyclically oriented (the factor pairs b c ... c b
+    # and d a ... a d).
+    assert inventory.coherent_bigons == 2
     assert inventory.bigons == 2
     assert inventory.trigons == 4
     assert inventory.coherent_trigons == 0
@@ -241,13 +244,15 @@ def test_monogons_equal_adjacent_pairs_in_every_realization():
 
 
 def test_coherent_bigon_face_implies_word_pattern():
+    # A cyclically oriented bigon on chords x and y is bounded by two
+    # disjoint factors read in opposite orders, x y ... y x.
     for n in (2, 3, 4):
         for word in oracles.enumerate_matchings(n):
             if not is_realizable(word):
                 continue
             inventory = faces(word)
             for face in inventory.faces:
-                if not face.is_coherent_bigon:
+                if face.length != 2 or not face.is_coherent:
                     continue
                 x, y = face.corners
                 total = len(word)
@@ -257,8 +262,8 @@ def test_coherent_bigon_face_implies_word_pattern():
                         if {i, (i + 1) % total} & {j, (j + 1) % total}:
                             continue
                         if (
-                            word[i] == word[j]
-                            and word[(i + 1) % total] == word[(j + 1) % total]
+                            word[i] == word[(j + 1) % total]
+                            and word[(i + 1) % total] == word[j]
                             and {word[i], word[(i + 1) % total]} == {x, y}
                         ):
                             found = True

@@ -51,6 +51,7 @@ from flatknots.words import (
 from sample_words import CURL, FIGURE8, TREFOIL
 
 THREE_CURLS = ("a", "a", "b", "b", "c", "c")
+FIVE_ONE = ("a", "b", "c", "d", "e", "a", "b", "c", "d", "e")
 
 
 def test_search_class_contains_start():
@@ -504,13 +505,14 @@ def test_strong_trivial_test_examples():
     assert not strong_trivial_test(connected_sum(FIGURE8, TREFOIL))
 
 
-def test_strong_class_membership_with_figure_eight_base():
-    assert strong_class_test(FIGURE8, FIGURE8)
-    assert strong_class_test(connected_sum(FIGURE8, TREFOIL), FIGURE8)
-    assert strong_class_test(connected_sum(CURL, FIGURE8, slot=1), FIGURE8)
-    assert not strong_class_test(TREFOIL, FIGURE8)
-    assert not strong_class_test((), FIGURE8)
-    assert not strong_class_test(connected_sum(FIGURE8, FIGURE8), FIGURE8)
+def test_strong_class_membership_with_the_five_one_base():
+    assert strong_class_test(FIVE_ONE, FIVE_ONE)
+    assert strong_class_test(connected_sum(FIVE_ONE, TREFOIL), FIVE_ONE)
+    assert strong_class_test(connected_sum(CURL, FIVE_ONE, slot=1), FIVE_ONE)
+    assert not strong_class_test(TREFOIL, FIVE_ONE)
+    assert not strong_class_test(FIGURE8, FIVE_ONE)
+    assert not strong_class_test((), FIVE_ONE)
+    assert not strong_class_test(connected_sum(FIVE_ONE, FIVE_ONE), FIVE_ONE)
 
 
 def test_strong_class_rejects_inadmissible_bases():
@@ -520,16 +522,37 @@ def test_strong_class_rejects_inadmissible_bases():
         strong_class_test(CURL, CURL)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="strong_class_test rejects T(3) against the base T(2), yet the "
-    "strong search joins them by a two-move path that verify_path replays",
-)
-def test_strong_class_test_agrees_with_the_strong_search():
+def test_strong_class_test_refuses_a_base_the_strong_search_leaves():
+    # T(2) has two coherent bigons.  A curl added on a side of one makes
+    # a coherent trigon, and the strong search goes on from there to T(3).
     base, word = twist_family(2), twist_family(3)
+    with pytest.raises(ValueError, match="coherent bigon"):
+        strong_class_test(word, base)
     found = equivalence_query(base, word, moves_name="strong")
-    joined = found.path is not None and verify_path(found.path)
-    assert strong_class_test(word, base) == joined
+    assert found.verdict == "equivalent"
+    assert verify_path(found.path)
+
+
+def _admissible(base):
+    try:
+        strong_class_test(base, base)
+    except ValueError:
+        return False
+    return True
+
+
+def test_strong_class_test_equals_the_strong_search_on_admissible_bases():
+    # C12: for every admissible base with n <= 5, the factor rule answers
+    # exactly membership in the base's strong closure, for every
+    # realizable word within the closure's chord cap of n + 3.
+    bases = [base for n in range(6) for base in enumerate_realizable(n) if _admissible(base)]
+    assert bases == [(), canonical(FIVE_ONE)]
+    for base in bases:
+        cap = chord_count(base) + 3
+        closure = search_class(base, MOVE_SETS["strong"], SearchConfig(max_chords=cap))
+        for n in range(cap + 1):
+            for word in enumerate_realizable(n):
+                assert strong_class_test(word, base) == (word in closure.words), word
 
 
 def test_twist_family_small_members_are_familiar_shadows():

@@ -5,9 +5,9 @@ import pytest
 
 import oracles
 from sample_words import CURL, FIGURE8, TREFOIL
-from flatknots.embedding import is_realizable
+from flatknots.embedding import faces, is_realizable
 from flatknots import moves
-from flatknots.explore import enumerate_words
+from flatknots.explore import enumerate_realizable, enumerate_words
 from flatknots.invariants import (
     cross_chord_number,
     h_invariant,
@@ -135,6 +135,30 @@ def test_figure_eight_triangle_sites_all_weak():
     sites = _triangle_sites(FIGURE8)
     assert len(sites) == 4
     assert all(site.kind == MoveKind.WEAK_SLIDE for site in sites)
+
+
+def test_trigon_faces_are_triangle_sites_strong_exactly_when_coherent():
+    # One law read two ways: a face is coherent when its boundary walk
+    # meets every side the same way, and a triangle site is strong when
+    # its chords have 0 or 3 internal interleavings.  Side i of a face
+    # is arc i, the factor starting at position i.
+    triangles = move_set("both") - move_set("r1")
+    seen = 0
+    for n in range(8):
+        for word in enumerate_realizable(n):
+            sites = {site.positions: site for site in find_sites(word, triangles)}
+            for face in faces(word).faces:
+                if face.length != 3:
+                    continue
+                starts = tuple(sorted(d // 2 for d in face.darts))
+                if len(set(face.corners)) < 3:
+                    assert starts not in sites, (word, face)
+                    continue
+                site = sites[starts]
+                assert site.chords == tuple(sorted(face.corners)), (word, face)
+                assert (site.kind != MoveKind.WEAK_SLIDE) == face.is_coherent, (word, face)
+                seen += 1
+    assert seen == 324
 
 
 def test_triangle_swap_is_involutive():
