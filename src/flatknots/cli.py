@@ -33,7 +33,7 @@ from .knots import (
     positive_resolution,
 )
 from .laurent import laurent_format
-from .moves import MOVE_SETS, _apply, find_sites, move_set
+from .moves import MOVE_SETS, apply_move, find_sites, move_set
 from .words import (
     WordError,
     canonical,
@@ -194,8 +194,7 @@ def _cmd_moves(args: argparse.Namespace) -> int:
         )
         return EXIT_USAGE
     site = sites[args.site]
-    # The site comes from find_sites, so it is applied without a second search.
-    after, shape = _apply(word, site)
+    after = apply_move(word, site)
     deltas = dict(zip(("dX", "dtr", "dH"), move_deltas(word, after)))
     if args.json:
         _print_json(
@@ -204,7 +203,7 @@ def _cmd_moves(args: argparse.Namespace) -> int:
                 before=format_word(word),
                 site=site.describe(),
                 after=format_word(after),
-                canonical=format_word(shape),
+                canonical=format_word(canonical(after)),
             )
         )
     else:
@@ -318,7 +317,7 @@ def _cmd_knots(args: argparse.Namespace) -> int:
         return EXIT_OK
     value = determinant(diagram)
     if args.json:
-        print(json.dumps({"word": format_word(word), "determinant": value}))
+        _print_json({"word": format_word(word), "determinant": value})
     else:
         print(value)
     return EXIT_OK

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
-from .words import Word, canonical, interlacement_masks, letters, positions, validate_word
+from .words import Word, interlacement_masks, letters, positions, validate_word
 
 
 class NotRealizableError(ValueError):
@@ -243,16 +243,14 @@ def realize(word: Sequence[str]) -> Embedding:
 
 
 def is_realizable(word: Sequence[str]) -> bool:
-    return _realize_cached(canonical(word)) is not None
+    """Whether the word embeds in the sphere, read as given: rotation,
+    reversal and relabelling describe the same curve."""
+    w = tuple(word)
+    validate_word(w)
+    return _realize_cached(w) is not None
 
 
 def faces(word: Sequence[str]) -> FaceInventory:
     """Face inventory of ``realize(word)``, the least-bits embedding."""
     return realize(word).inventory
 
-
-def face_count_for_bits(word: Sequence[str], bits: Sequence[int]) -> int:
-    """Number of faces produced by an explicit rotation assignment."""
-    w = tuple(word)
-    validate_word(w)
-    return len(_face_orbits(w, tuple(bits)))

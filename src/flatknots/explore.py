@@ -344,13 +344,14 @@ def enumerate_words(n: int) -> Tuple[Word, ...]:
     chords remain, so open chords plus twice the unopened chords always
     equal the positions left and every prefix can be completed.
 
-    A prefix ``w[:L]`` is pruned when a forward view ``w[s:L]`` or the
-    reversed view ``w[L-1::-1]`` falls below it: every completion would
-    then have a smaller rotation or reversal.  Views are compared by
-    back-distances, and the starts that still tie the prefix are carried
-    down, as stated in ``words.canonical``.  A finished word is accepted
-    only when it is among its least views (``words._least_views``),
-    which makes it the least rank sequence of its class.
+    A prefix ``w[:L]`` is pruned when a forward view ``w[s:L]`` falls
+    below it: every completion would then have a smaller rotation.  Only
+    forward views prune; reversals are left to the leaf.  Views are
+    compared by back-distances, and the starts that still tie the prefix
+    are carried down, as stated in ``words.canonical``.  A finished word
+    is accepted only when it is among its least views
+    (``words._least_views``, which reads the reversed views too), which
+    makes it the least rank sequence of its class.
 
     Here a chord may close at any gap.  ``enumerate_realizable`` and
     ``corpus.reduced_prime_census`` run the same generator under
@@ -380,7 +381,6 @@ def enumerate_realizable(n: int) -> Tuple[Word, ...]:
     and its common neighbours with closed chords are final.
     ``_realize_cached`` at the leaves stays the certificate.
     """
-    # Enumerated words are canonical already, so the shape is checked as is.
     return tuple(w for w in _orderly(n, _GAUSS) if _realize_cached(w) is not None)
 
 
@@ -402,11 +402,8 @@ def _orderly(n: int, rule: int) -> Tuple[Word, ...]:
     found: List[Word] = []
     prefix: List[int] = []
     # dist[i] is the back-distance of position i inside the prefix (0
-    # while its chord is open), and rev[i] that of position i in the
-    # reversed prefix: the length of its chord once closed, at the
-    # position that opened it.
+    # while its chord is open).
     dist: List[int] = []
-    rev: List[int] = []
     # A parity bitset holds the chords met once so far.  parities[L] is
     # that of w[:L], after[r] that just past the opening of chord r, and
     # masks[r] the neighbour set of chord r once it is closed.
@@ -445,9 +442,7 @@ def _orderly(n: int, rule: int) -> Tuple[Word, ...]:
             d = 0 if opening else here - prefix.index(rank)
             prefix.append(rank)
             dist.append(d)
-            rev.append(0)
-            rev[here - d] = d
-            ties = _prefix_ties(dist, rev, live)
+            ties = _prefix_ties(dist, live)
             if ties is not None:
                 if here:
                     ties.append(here)
@@ -458,8 +453,6 @@ def _orderly(n: int, rule: int) -> Tuple[Word, ...]:
                     closed if opening else closed | (1 << rank),
                     tuple(ties),
                 )
-            rev[here - d] = 0
-            rev.pop()
             dist.pop()
             prefix.pop()
         parities.pop()

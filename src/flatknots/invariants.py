@@ -173,7 +173,7 @@ def invariant_report(word: Sequence[str]) -> InvariantReport:
     masks = interlacement_masks(w)
     x = _pair_count(masks)
     tr = _trivializing(w)
-    realizable = _realize_cached(_canonical_cached(w)) is not None
+    realizable = _realize_cached(w) is not None
     if realizable and tr % 2 != 0:
         raise RuntimeError(
             f"trivializing number {tr} is odd for the realizable word "

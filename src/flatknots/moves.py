@@ -13,6 +13,14 @@ preserves the trivializing number.  ``MOVE_LAWS`` states these laws
 once for every move kind, and the ``deltas`` suite of
 ``flatknots.checks`` checks the whole table.
 
+Sites and faces: every triangle site is a trigon face of some sphere
+realization of the word, and every trigon face of a realization with
+three distinct corners is a triangle site, strong exactly when the face
+is coherent (``embedding.Face.is_coherent``).  This is checked, not
+proved, for every realizable class with at most 7 chords: the first
+direction over every realization, the second on the least-bits one
+(``tests/test_moves.py``).
+
 ``find_sites`` is the one statement of where a move applies.
 ``apply_move`` accepts exactly the sites ``find_sites`` reports, then
 enforces the change in X that ``MOVE_LAWS`` allows and the keeping of
@@ -33,7 +41,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .embedding import _realize_cached
 from .invariants import _cross_count, _pair_count
@@ -243,21 +251,19 @@ def apply_move(word: Sequence[str], site: MoveSite) -> Word:
     return _apply(w, site)[0]
 
 
-def _apply(w: Word, site: MoveSite, label: Optional[str] = None) -> Tuple[Word, Word]:
+def _apply(w: Word, site: MoveSite) -> Tuple[Word, Word]:
     """Apply a site that ``find_sites`` reported for ``w``; returns the result and its shape.
 
     The site is not checked again.  Both laws are, on every call: the
     result is canonicalized once, and the X law and the keeping of
-    realizability are checked on that shape through shape-keyed caches.
-    Searches reach this through the memo ``_moves_of``, so each (word,
-    site) they meet is applied and law-checked once per process.  A
-    curl addition inserts ``label``, which must be ``fresh_label(w)``;
-    it is computed here when not given.
+    realizability compare that shape with ``w``.  Searches reach this
+    through the memo ``_moves_of``, so each (word, site) they meet is
+    applied and law-checked once per process.  A curl addition inserts
+    ``fresh_label(w)``.
     """
     if site.kind == MoveKind.CURL_ADD:
         (slot,) = site.positions
-        if label is None:
-            label = fresh_label(w)
+        label = fresh_label(w)
         result = w[:slot] + (label, label) + w[slot:]
     elif site.kind == MoveKind.CURL_DELETE:
         (i,) = site.positions
@@ -275,7 +281,7 @@ def _apply(w: Word, site: MoveSite, label: Optional[str] = None) -> Tuple[Word, 
         raise MoveError(
             f"{site.kind.value} changed the cross chord count by {change}"
         )
-    if _realize_cached(shape) is None and _realize_cached(_canonical_cached(w)) is not None:
+    if _realize_cached(shape) is None and _realize_cached(w) is not None:
         raise MoveError(
             f"{site.describe()} broke realizability on {' '.join(w)}"
         )
@@ -292,9 +298,7 @@ def _moves_of(w: Word, kinds: FrozenSet[MoveKind]) -> Tuple[Tuple[MoveSite, Word
     so every law is checked when an entry is first computed; a
     MoveError propagates and, as ``lru_cache`` stores no exception, is
     raised again the next time.  A search under the strong or the weak
-    moves thus never applies the other triangle kinds.  Every curl
-    addition of ``w`` inserts the same fresh label, so it is named once
-    per word.
+    moves thus never applies the other triangle kinds.
 
     Memory: entries outlive the searches that fill them.  An entry of an
     n chord word holds O(n) sites (2n curl additions, at most n curl
@@ -305,8 +309,7 @@ def _moves_of(w: Word, kinds: FrozenSet[MoveKind]) -> Tuple[Tuple[MoveSite, Word
     memo of n chord words holds at most about 4,096 times that: 38 MB
     at n = 8, 310 MB at n = 30.
     """
-    label = fresh_label(w) if kinds == _CURL_ADDS else None
-    return tuple((site, *_apply(w, site, label)) for site in _group_sites(w, kinds))
+    return tuple((site, *_apply(w, site)) for site in _group_sites(w, kinds))
 
 
 def _moves_from(w: Word, kinds: FrozenSet[MoveKind]) -> Iterator[Tuple[MoveSite, Word, Word]]:

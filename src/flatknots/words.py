@@ -145,12 +145,11 @@ def _back_distances(word: Sequence) -> List[int]:
     return dist
 
 
-def _prefix_ties(dist: Sequence[int], rev: Sequence[int], live: Sequence[int]) -> "List[int] | None":
+def _prefix_ties(dist: Sequence[int], live: Sequence[int]) -> "List[int] | None":
     """The starts of ``live`` whose view still ties a prefix after its last entry.
 
-    ``dist`` holds the back-distances of the prefix (0 at an open chord)
-    and ``rev`` those of the reversed prefix, read backwards.  None when
-    a view falls below the prefix (see ``canonical``).
+    ``dist`` holds the back-distances of the prefix (0 at an open
+    chord).  None when a view falls below the prefix (see ``canonical``).
     """
     here = len(dist) - 1
     d = dist[here]
@@ -162,8 +161,6 @@ def _prefix_ties(dist: Sequence[int], rev: Sequence[int], live: Sequence[int]) -
             ties.append(s)
         elif e > dist[k]:
             return None
-    if rev[::-1] > dist:
-        return None
     return ties
 
 
@@ -233,7 +230,10 @@ def canonical(word: Sequence[str]) -> Word:
 def fresh_label(word: Sequence[str]) -> str:
     """Smallest standard label not already used in the word."""
     used = set(word)
-    rank = 0
+    for label in _ALPHABET:
+        if label not in used:
+            return label
+    rank = len(_ALPHABET)
     while label_for_rank(rank) in used:
         rank += 1
     return label_for_rank(rank)

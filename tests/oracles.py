@@ -263,17 +263,23 @@ def is_union_of_cliques(vertices: Sequence[str], edges: Set[Tuple[str, str]]) ->
 
 
 def corner_faces(word: Sequence[str], bits: Sequence[int]) -> List[int]:
-    """Face sizes for one rotation assignment, by walking corner to corner.
+    """Face sizes for one rotation assignment, by walking corner to corner."""
+    return [len(sides) for sides in corner_face_sides(word, bits)]
+
+
+def corner_face_sides(word: Sequence[str], bits: Sequence[int]) -> List[Tuple[int, ...]]:
+    """The sides of each face for one rotation assignment, in walk order.
 
     A corner of a chord is the region between consecutive ports in its
     counterclockwise dart order.  Leaving a corner through its second
-    port lands at the far end of that arc; the next corner starts at the
-    arrival port.
+    port (the exit dart) runs along arc ``exit_dart // 2`` to its far
+    end, so that arc is a side of the face; the next corner starts at
+    the arrival port.
     """
     w = tuple(word)
     total = len(w)
     if total == 0:
-        return [0, 0]
+        return [(), ()]
     order: Dict[str, int] = {}
     for label in w:
         if label not in order:
@@ -298,26 +304,22 @@ def corner_faces(word: Sequence[str], bits: Sequence[int]) -> List[int]:
             label_of_dart[d] = label
             index_of_dart[d] = k
 
-    def step(corner: Tuple[str, int]) -> Tuple[str, int]:
-        label, k = corner
-        exit_dart = ports[label][(k + 1) % 4]
-        far = exit_dart ^ 1
-        return (label_of_dart[far], index_of_dart[far])
-
-    sizes = []
+    faces = []
     seen: Set[Tuple[str, int]] = set()
     for label in ports:
         for k in range(4):
             corner = (label, k)
-            if corner in seen:
-                continue
-            size = 0
+            sides = []
             while corner not in seen:
                 seen.add(corner)
-                size += 1
-                corner = step(corner)
-            sizes.append(size)
-    return sizes
+                at, index = corner
+                exit_dart = ports[at][(index + 1) % 4]
+                sides.append(exit_dart // 2)
+                far = exit_dart ^ 1
+                corner = (label_of_dart[far], index_of_dart[far])
+            if sides:
+                faces.append(tuple(sides))
+    return faces
 
 
 def corner_realizable(word: Sequence[str]) -> bool:

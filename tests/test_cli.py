@@ -355,24 +355,11 @@ def test_moves_apply_json(capsys):
     )
 
 
-def test_moves_apply_searches_the_sites_once(capsys, monkeypatch):
-    import flatknots.cli
-    import flatknots.moves
-
-    calls = []
-    found = flatknots.moves.find_sites
-
-    def counted(*args):
-        calls.append(args)
-        return found(*args)
-
-    monkeypatch.setattr(flatknots.cli, "find_sites", counted)
-    monkeypatch.setattr(flatknots.moves, "find_sites", counted)
+def test_moves_apply_strong_contraction_json(capsys):
     code, out, _ = run(
         capsys, "moves", "apply", TREFOIL_TEXT, "--moves", "strong", "--site", "6", "--json"
     )
     assert code == 0
-    assert len(calls) == 1
     assert out == (
         "{\n"
         '  "after": "b a a c c b",\n'
@@ -509,6 +496,10 @@ def test_knots_commands(capsys):
     code, out, _ = run(capsys, "knots", "det", TREFOIL_TEXT)
     assert code == 0
     assert out.strip() == "3"
+
+    code, out, _ = run(capsys, "knots", "det", TREFOIL_TEXT, "--json")
+    assert code == 0
+    assert out == '{\n  "determinant": 3,\n  "word": "a b c a b c"\n}\n'
 
     code, out, _ = run(capsys, "knots", "bracket", "-")
     assert code == 0

@@ -43,7 +43,6 @@ from flatknots.words import (
     canonical,
     chord_count,
     connected_sum,
-    fresh_label,
     is_prime,
     rank_sequence,
 )
@@ -369,27 +368,6 @@ def test_a_missing_inverse_move_is_a_defect():
     trees = ({a: None}, {b: None, a: (b, stray)})
     with pytest.raises(MoveError, match="none takes it back"):
         explore._join(trees, a, move_set("strong"))
-
-
-def test_searches_name_one_fresh_label_per_expanded_word(monkeypatch):
-    names = []
-
-    def counted(word):
-        names.append(tuple(word))
-        return fresh_label(word)
-
-    # A word whose curl additions the memo holds names no label, so
-    # each search starts from an empty memo.
-    moves._moves_of.cache_clear()
-    monkeypatch.setattr(moves, "fresh_label", counted)
-    config = SearchConfig(max_chords=6)
-    result = search_class(TREFOIL, move_set("both"), config)
-    below_cap = [w for w in result.words if chord_count(w) < config.max_chords]
-    assert sorted(names) == sorted(below_cap)
-    names.clear()
-    moves._moves_of.cache_clear()
-    equivalence_query(TREFOIL, connected_sum(FIGURE8, CURL), moves_name="both")
-    assert names and len(names) == len(set(names))
 
 
 def _search_outputs():

@@ -161,6 +161,26 @@ def test_trigon_faces_are_triangle_sites_strong_exactly_when_coherent():
     assert seen == 324
 
 
+def test_every_triangle_site_is_a_trigon_face_of_some_realization():
+    # The converse of the test above, over every realization: the bit
+    # vectors that give n + 2 faces, walked by the corner oracle.
+    triangles = move_set("both") - move_set("r1")
+    classes = realizations = sites = 0
+    for n in range(8):
+        for word in enumerate_realizable(n):
+            trigons = set()
+            for bits in itertools.product((0, 1), repeat=n):
+                found = oracles.corner_face_sides(word, bits)
+                if len(found) == n + 2:
+                    realizations += 1
+                    trigons.update(tuple(sorted(s)) for s in found if len(s) == 3)
+            for site in find_sites(word, triangles):
+                assert site.positions in trigons, (word, site)
+                sites += 1
+            classes += 1
+    assert (classes, realizations, sites) == (241, 7305, 415)
+
+
 def test_triangle_swap_is_involutive():
     for word in (TREFOIL, FIGURE8):
         for site in _triangle_sites(word):
