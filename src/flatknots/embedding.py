@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
-from .words import Word, interlacement_masks, letters, positions, validate_word
+from .words import Word, canonical, interlacement_masks, letters, positions, validate_word
 
 
 class NotRealizableError(ValueError):
@@ -243,11 +243,12 @@ def realize(word: Sequence[str]) -> Embedding:
 
 
 def is_realizable(word: Sequence[str]) -> bool:
-    """Whether the word embeds in the sphere, read as given: rotation,
-    reversal and relabelling describe the same curve."""
-    w = tuple(word)
-    validate_word(w)
-    return _realize_cached(w) is not None
+    """Whether the word embeds in the sphere.
+
+    Keyed by the canonical form, so every spelling of one curve shares
+    one cache entry.
+    """
+    return _realize_cached(canonical(word)) is not None
 
 
 def faces(word: Sequence[str]) -> FaceInventory:

@@ -230,10 +230,7 @@ def canonical(word: Sequence[str]) -> Word:
 def fresh_label(word: Sequence[str]) -> str:
     """Smallest standard label not already used in the word."""
     used = set(word)
-    for label in _ALPHABET:
-        if label not in used:
-            return label
-    rank = len(_ALPHABET)
+    rank = 0
     while label_for_rank(rank) in used:
         rank += 1
     return label_for_rank(rank)
