@@ -71,24 +71,13 @@ class Face:
 class FaceInventory:
     faces: Tuple[Face, ...]
 
-    def lengths(self) -> Tuple[int, ...]:
-        return tuple(sorted(face.length for face in self.faces))
-
     @property
     def monogons(self) -> int:
         return sum(face.length == 1 for face in self.faces)
 
     @property
-    def bigons(self) -> int:
-        return sum(face.length == 2 for face in self.faces)
-
-    @property
     def coherent_bigons(self) -> int:
         return sum(face.length == 2 and face.is_coherent for face in self.faces)
-
-    @property
-    def trigons(self) -> int:
-        return sum(face.length == 3 for face in self.faces)
 
     @property
     def coherent_trigons(self) -> int:

@@ -32,8 +32,13 @@ Words are validated once, at the public entry points.  An applied move
 canonicalizes its result once and checks both laws on that shape.
 Searches and ``neighbors`` read the moves of a word from one bounded
 memo of the move graph, ``_moves_of``, so each (word, site) they meet
-is found, applied and law-checked once per process while the memo
-holds it; a move that breaks a law raises every time it is met.
+is found and applied once per process while the memo holds it; a move
+that breaks a law raises every time it is met.  A word's triangle
+sites are found once, in the bounded memo ``_triangle_sites``, however
+many move sets ask for them.  Two curl sites on either side of one curl
+give one shape, so only the first is canonicalized and law-checked;
+the laws read only the word, the shape and the kind, so each distinct
+(word, shape, kind) is still checked.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .embedding import _realize_cached
-from .invariants import _cross_count, _pair_count
+from .invariants import _cross_count
 from .words import (
     Word,
     _canonical_cached,
@@ -52,6 +57,7 @@ from .words import (
     format_word,
     fresh_label,
     interlacement_masks,
+    letters,
     validate_word,
 )
 
@@ -144,32 +150,31 @@ def _curl_delete_sites(w: Word) -> List[MoveSite]:
     ]
 
 
-def _triangle_kind(w: Word, starts: Sequence[int]) -> MoveKind:
-    """The kind of the triangle site whose factors start at ``starts``.
-
-    The three factors hold both passages of each site chord, and two
-    chords interleave exactly when their four passages alternate, so
-    the internal interleavings are read off the six factor letters in
-    cyclic order.
-    """
-    total = len(w)
-    six = [w[(s + d) % total] for s in sorted(starts) for d in (0, 1)]
-    internal = _pair_count(interlacement_masks(six))
-    if internal == 3:
-        return MoveKind.STRONG_CONTRACT
-    if internal == 0:
-        return MoveKind.STRONG_EXPAND
-    return MoveKind.WEAK_SLIDE
+# The kind of a triangle site by the number of interleaved pairs among its
+# three chords.
+_KIND_BY_INTERNAL = (
+    MoveKind.STRONG_EXPAND,
+    MoveKind.WEAK_SLIDE,
+    MoveKind.WEAK_SLIDE,
+    MoveKind.STRONG_CONTRACT,
+)
 
 
-def _triangle_sites(w: Word) -> List[MoveSite]:
+@lru_cache(maxsize=4096)
+def _triangle_sites(w: Word) -> Tuple[MoveSite, ...]:
     """All triangle sites, ordered by their factor start positions.
 
-    Distinct sites may involve the same three chords.
+    Distinct sites may involve the same three chords.  A memo with one
+    entry per word, so a word's sites are found once however many move
+    sets ask for them.  The three factors hold both passages of each
+    site chord, so a site's internal interleavings are three bit tests
+    in the interlacement graph of ``w``.
     """
     total = len(w)
     if total < 6:
-        return []
+        return ()
+    masks = interlacement_masks(w)
+    index = {label: i for i, label in enumerate(letters(w))}
     # Only factors with two distinct labels can be triangle sides; index
     # them by label pair and by label.  A label lies in at most four.
     by_pair: Dict[FrozenSet[str], List[int]] = {}
@@ -199,12 +204,12 @@ def _triangle_sites(w: Word) -> List[MoveSite]:
             # No side has the label pair {a, a}, so c == a finds no k.
             for k in by_pair.get(frozenset((a, c)), ()):
                 if k > i and apart(i, k) and apart(j, k):
-                    starts = tuple(sorted((i, j, k)))
-                    sites.append(
-                        MoveSite(_triangle_kind(w, starts), starts, tuple(sorted((a, b, c))))
-                    )
+                    x, y, z = index[a], index[b], index[c]
+                    internal = (masks[x] >> y & 1) + (masks[x] >> z & 1) + (masks[y] >> z & 1)
+                    kind = _KIND_BY_INTERNAL[internal]
+                    sites.append(MoveSite(kind, tuple(sorted((i, j, k))), tuple(sorted((a, b, c)))))
     sites.sort(key=lambda site: site.positions)
-    return sites
+    return tuple(sites)
 
 
 # The move groups, one per site finder, in the order ``MoveKind`` declares
@@ -251,30 +256,32 @@ def apply_move(word: Sequence[str], site: MoveSite) -> Word:
     return _apply(w, site)[0]
 
 
+def _result(w: Word, site: MoveSite) -> Word:
+    """The word a found site of ``w`` makes; a curl addition inserts ``fresh_label(w)``."""
+    if site.kind == MoveKind.CURL_ADD:
+        (slot,) = site.positions
+        label = fresh_label(w)
+        return w[:slot] + (label, label) + w[slot:]
+    if site.kind == MoveKind.CURL_DELETE:
+        (i,) = site.positions
+        return w[:i] + w[i + 2 :] if i + 1 < len(w) else w[1:i]
+    swapped = list(w)
+    for start in site.positions:
+        nxt = (start + 1) % len(w)
+        swapped[start], swapped[nxt] = w[nxt], w[start]
+    return tuple(swapped)
+
+
 def _apply(w: Word, site: MoveSite) -> Tuple[Word, Word]:
     """Apply a site that ``find_sites`` reported for ``w``; returns the result and its shape.
 
     The site is not checked again.  Both laws are, on every call: the
     result is canonicalized once, and the X law and the keeping of
     realizability compare that shape with ``w``.  Searches reach this
-    through the memo ``_moves_of``, so each (word, site) they meet is
-    applied and law-checked once per process.  A curl addition inserts
-    ``fresh_label(w)``.
+    through the memo ``_moves_of``, so each (word, shape, kind) they
+    meet is law-checked once per process.
     """
-    if site.kind == MoveKind.CURL_ADD:
-        (slot,) = site.positions
-        label = fresh_label(w)
-        result = w[:slot] + (label, label) + w[slot:]
-    elif site.kind == MoveKind.CURL_DELETE:
-        (i,) = site.positions
-        result = w[:i] + w[i + 2 :] if i + 1 < len(w) else w[1:i]
-    else:
-        swapped = list(w)
-        for start in site.positions:
-            nxt = (start + 1) % len(w)
-            swapped[start], swapped[nxt] = w[nxt], w[start]
-        result = tuple(swapped)
-
+    result = _result(w, site)
     shape = _canonical_cached(result)
     change = _cross_count(shape) - _cross_count(w)
     if change not in MOVE_LAWS[site.kind].dx:
@@ -294,11 +301,18 @@ def _moves_of(w: Word, kinds: FrozenSet[MoveKind]) -> Tuple[Tuple[MoveSite, Word
 
     ``w`` is a valid word and ``kinds`` a nonempty part of one move
     group.  The sites come from ``_group_sites``, in the order
-    ``find_sites`` gives them, and each is applied through ``_apply``,
-    so every law is checked when an entry is first computed; a
-    MoveError propagates and, as ``lru_cache`` stores no exception, is
-    raised again the next time.  A search under the strong or the weak
-    moves thus never applies the other triangle kinds.
+    ``find_sites`` gives them.  A curl at c (cyclically) lies between
+    slots c and c + 2, and inserting a curl at either gives the same
+    shape; so does deleting it or a curl at c + 2, with the two curl
+    labels swapped.  Of each such pair only the first site goes through
+    ``_apply``; the later one builds its own result, with the first
+    one's fresh label, and borrows its shape.  Every other site goes
+    through ``_apply``.  The law checks read only the word, the shape
+    and the kind, so every law is checked for each distinct (word,
+    shape, kind) when an entry is first computed; a MoveError
+    propagates and, as ``lru_cache`` stores no exception, is raised
+    again the next time.  A search under the strong or the weak moves
+    thus never applies the other triangle kinds.
 
     Memory: entries outlive the searches that fill them.  An entry of an
     n chord word holds O(n) sites (2n curl additions, at most n curl
@@ -307,9 +321,32 @@ def _moves_of(w: Word, kinds: FrozenSet[MoveKind]) -> Tuple[Tuple[MoveSite, Word
     largest is the curl additions, about 64 n^2 + 640 n bytes on 64-bit
     CPython (measured: 9.2 KB at n = 8, 77 KB at n = 30), so a full
     memo of n chord words holds at most about 4,096 times that: 38 MB
-    at n = 8, 310 MB at n = 30.
+    at n = 8, 310 MB at n = 30.  The site memo ``_triangle_sites``
+    holds the same site objects, one tuple per word (330 bytes on
+    average over the 750 realizable 8 chord words).
     """
-    return tuple((site, *_apply(w, site)) for site in _group_sites(w, kinds))
+    sites = _group_sites(w, kinds)
+    if not kinds <= MOVE_SETS["r1"]:
+        return tuple((site, *_apply(w, site)) for site in sites)
+    total = len(w)
+    curls = [c for c in range(total) if w[c] == w[(c + 1) % total]]
+    first_of: Dict[int, int] = {}
+    for c in curls:
+        d = (c + 2) % total
+        # Every slot is a curl addition site; a deletion pair needs two curls.
+        if kinds == _CURL_ADDS or d in curls:
+            first_of.setdefault(max(c, d), min(c, d))
+    made: Dict[int, Tuple[Word, Word]] = {}
+    for site in sites:
+        (t,) = site.positions
+        s = first_of.get(t, t)
+        if s == t:
+            made[t] = _apply(w, site)
+        elif kinds == _CURL_ADDS:  # the first result holds its fresh label at s and s + 1
+            made[t] = w[:t] + made[s][0][s : s + 2] + w[t:], made[s][1]
+        else:
+            made[t] = _result(w, site), made[s][1]
+    return tuple((site, *made[site.positions[0]]) for site in sites)
 
 
 def _moves_from(w: Word, kinds: FrozenSet[MoveKind]) -> Iterator[Tuple[MoveSite, Word, Word]]:
@@ -317,8 +354,8 @@ def _moves_from(w: Word, kinds: FrozenSet[MoveKind]) -> Iterator[Tuple[MoveSite,
 
     ``w`` is a valid word.  Read only from the memo ``_moves_of``, one
     entry for the part of each move group that ``kinds`` holds: each
-    (word, site) is found, applied and law-checked once per process
-    while the memo holds it.
+    (word, site) is found and applied once per process while the memo
+    holds it.
     """
     for group in _GROUPS:
         wanted = group & kinds

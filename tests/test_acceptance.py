@@ -349,7 +349,7 @@ def test_criterion_7_state_sums():
 def test_criterion_8_realizability():
     with pytest.raises(NotRealizableError):
         realize(NONREALIZABLE_4)
-    assert realize(TREFOIL).inventory.lengths
+    assert realize(TREFOIL).inventory.faces
 
     agreed = 0
     for n in range(0, 6):

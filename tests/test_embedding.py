@@ -108,21 +108,25 @@ def test_realize_raises_with_word_in_message():
         realize(NONREALIZABLE_2)
 
 
+def _lengths(inventory):
+    return tuple(sorted(face.length for face in inventory.faces))
+
+
 def test_empty_word_faces():
     inventory = faces(())
     assert len(inventory.faces) == 2
-    assert inventory.lengths() == (0, 0)
+    assert _lengths(inventory) == (0, 0)
     assert inventory.monogons == 0
 
 
 def test_curl_faces():
-    assert faces(CURL).lengths() == (1, 1, 2)
+    assert _lengths(faces(CURL)) == (1, 1, 2)
     assert faces(CURL).monogons == 2
 
 
 def test_trefoil_faces():
     inventory = faces(TREFOIL)
-    assert inventory.lengths() == (2, 2, 2, 3, 3)
+    assert _lengths(inventory) == (2, 2, 2, 3, 3)
     assert inventory.monogons == 0
     assert inventory.coherent_trigons == 2
     # The trefoil bigons carry parallel strands, which the boundary walk
@@ -133,13 +137,13 @@ def test_trefoil_faces():
 
 def test_figure_eight_faces():
     inventory = faces(FIGURE8)
-    assert inventory.lengths() == (2, 2, 3, 3, 3, 3)
+    assert _lengths(inventory) == (2, 2, 3, 3, 3, 3)
     assert inventory.monogons == 0
     # Both bigons are cyclically oriented (the factor pairs b c ... c b
     # and d a ... a d).
     assert inventory.coherent_bigons == 2
-    assert inventory.bigons == 2
-    assert inventory.trigons == 4
+    assert sum(face.length == 2 for face in inventory.faces) == 2
+    assert sum(face.length == 3 for face in inventory.faces) == 4
     assert inventory.coherent_trigons == 0
 
 
@@ -213,7 +217,7 @@ def test_face_multiset_agrees_with_corner_walk_oracle():
             if not is_realizable(word):
                 continue
             allowed = oracles.corner_face_multisets(word)
-            assert faces(word).lengths() in allowed, word
+            assert _lengths(faces(word)) in allowed, word
 
 
 def _face_count(word, bits):

@@ -16,6 +16,7 @@ from flatknots.invariants import (
 )
 from flatknots.moves import (
     MOVE_LAWS,
+    MOVE_SETS,
     MoveError,
     MoveKind,
     MoveSite,
@@ -24,7 +25,7 @@ from flatknots.moves import (
     move_set,
     neighbors,
 )
-from flatknots.words import canonical
+from flatknots.words import canonical, label_for_rank, letters
 
 
 def _canonical_realizable(n):
@@ -352,6 +353,71 @@ def test_neighbors_propagates_a_broken_law(monkeypatch):
     monkeypatch.setattr(moves, "_curl_delete_sites", lambda word: [bogus])
     with pytest.raises(MoveError, match="changed the cross chord count"):
         neighbors(TREFOIL, {MoveKind.CURL_DELETE})
+
+
+# The parts of a move group that some move set asks the memo for.
+_MEMO_PARTS = {group & kinds for group in moves._GROUPS for kinds in MOVE_SETS.values()} - {
+    frozenset()
+}
+
+
+def presentations(word):
+    """The word and one rotated, reversed and relabelled presentation of it."""
+    names = letters(word)
+    rename = {label: label_for_rank(len(names) - i) for i, label in enumerate(names)}
+    k = len(word) // 3
+    return word, tuple(rename[label] for label in reversed(word[k:] + word[:k]))
+
+
+def memo_mismatches(words):
+    """(sites, mismatches) of the move-graph memo over ``words``.
+
+    ``sites`` counts every site of every word once.  Each entry for each
+    part in ``_MEMO_PARTS`` must list the sites that ``find_sites``
+    gives, in its order, each with the result that ``_result`` builds
+    and that result's canonical form.
+    """
+    sites = mismatches = 0
+    for word in words:
+        sites += len(find_sites(word, MoveKind))
+        for kinds in _MEMO_PARTS:
+            entry = moves._moves_of(word, kinds)
+            mismatches += [site for site, _, _ in entry] != find_sites(word, kinds)
+            mismatches += sum(
+                result != moves._result(word, site) or shape != canonical(result)
+                for site, result, shape in entry
+            )
+    return sites, mismatches
+
+
+def test_the_memo_matches_find_sites_and_canonical_forms():
+    moves._moves_of.cache_clear()
+    moves._triangle_sites.cache_clear()
+    words = [p for n in range(7) for word in enumerate_words(n) for p in presentations(word)]
+    sites, mismatches = memo_mismatches(words)
+    assert sites > len(words)
+    assert mismatches == 0
+
+
+def test_curl_sites_beside_a_curl_share_one_apply_and_sites_are_found_once(monkeypatch):
+    applied = []
+    apply = moves._apply
+
+    def counted(w, site):
+        applied.append(site)
+        return apply(w, site)
+
+    moves._moves_of.cache_clear()
+    moves._triangle_sites.cache_clear()
+    monkeypatch.setattr(moves, "_apply", counted)
+    # Slots 0 and 2 lie on either side of the curl a a.
+    for word, calls in ((tuple("aabcbc"), 5), (tuple("abacbc"), 6)):
+        applied.clear()
+        assert len(neighbors(word, {MoveKind.CURL_ADD})) == 6
+        assert len(applied) == calls
+    for name in ("strong", "weak", "both"):
+        neighbors(FIGURE8, move_set(name))
+    assert moves._triangle_sites.cache_info().misses == 1
 
 
 def test_strong_moves_preserve_h_and_residue():
