@@ -19,8 +19,9 @@ them for every move in the set.
 
 Every search reads the moves of a word from the memo of the move graph
 in ``moves``, so each (word, site) that the searches of one process
-meet is found and applied once while the memo holds it, and each
-distinct (word, shape, kind) is law-checked once.
+meet is found, applied and law-checked once while the memo holds it,
+and a word's triangle sites are found once however many move sets ask
+for them.
 """
 
 from __future__ import annotations
@@ -187,11 +188,11 @@ def search_class(
     """Breadth first closure of a word under the given moves, windowed.
 
     States are canonical forms.  The moves of each expanded state come
-    from the memo of the move graph in ``moves``, so a move is applied
-    once per process, however many searches meet it, and each distinct
-    (word, shape, kind) is canonicalized and law-checked once.  The
-    tree grows by ``_grow`` one level at a time until no level is left,
-    and the result is truncated when the window cut any level.
+    from the memo of the move graph in ``moves``, so a move is applied,
+    canonicalized and law-checked once per process, however many
+    searches meet it.  The tree grows by ``_grow`` one level at a time
+    until no level is left, and the result is truncated when the window
+    cut any level.
     """
     start = canonical(word)
     kind_set = frozenset(kinds)

@@ -32,13 +32,10 @@ Words are validated once, at the public entry points.  An applied move
 canonicalizes its result once and checks both laws on that shape.
 Searches and ``neighbors`` read the moves of a word from one bounded
 memo of the move graph, ``_moves_of``, so each (word, site) they meet
-is found and applied once per process while the memo holds it; a move
-that breaks a law raises every time it is met.  A word's triangle
-sites are found once, in the bounded memo ``_triangle_sites``, however
-many move sets ask for them.  Two curl sites on either side of one curl
-give one shape, so only the first is canonicalized and law-checked;
-the laws read only the word, the shape and the kind, so each distinct
-(word, shape, kind) is still checked.
+is found, applied and law-checked once per process while the memo
+holds it; a move that breaks a law raises every time it is met.  A
+word's triangle sites are found once, in the bounded memo
+``_triangle_sites``, however many move sets ask for them.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .embedding import _realize_cached
 from .invariants import _cross_count
@@ -56,8 +53,7 @@ from .words import (
     all_slots,
     format_word,
     fresh_label,
-    interlacement_masks,
-    letters,
+    positions,
     validate_word,
 )
 
@@ -167,46 +163,39 @@ def _triangle_sites(w: Word) -> Tuple[MoveSite, ...]:
     Distinct sites may involve the same three chords.  A memo with one
     entry per word, so a word's sites are found once however many move
     sets ask for them.  The three factors hold both passages of each
-    site chord, so a site's internal interleavings are three bit tests
-    in the interlacement graph of ``w``.
+    site chord, so a site's internal interleavings are read off the
+    passages of its chords in ``w``.
     """
     total = len(w)
     if total < 6:
         return ()
-    masks = interlacement_masks(w)
-    index = {label: i for i, label in enumerate(letters(w))}
-    # Only factors with two distinct labels can be triangle sides; index
-    # them by label pair and by label.  A label lies in at most four.
-    by_pair: Dict[FrozenSet[str], List[int]] = {}
-    by_label: Dict[str, List[int]] = {}
-    for s in range(total):
-        a, b = w[s], w[(s + 1) % total]
-        if a != b:
-            by_pair.setdefault(frozenset((a, b)), []).append(s)
-            by_label.setdefault(a, []).append(s)
-            by_label.setdefault(b, []).append(s)
+    at = positions(w)
+    other = [0] * total
+    for p, q in at.values():
+        other[p], other[q] = q, p
 
     def apart(s: int, t: int) -> bool:
         return (t - s) % total not in (0, 1, total - 1)
 
+    def crossed(x: str, y: str) -> bool:
+        (p, q), (r, s) = at[x], at[y]
+        return (p < r < q) != (p < s < q)
+
     sites: List[MoveSite] = []
     # Each site is found once, from its first factor i = {a, b}: its
-    # other sides are a factor j = {b, c} through b and a factor
-    # k = {a, c}, both after i.
+    # other sides are a factor j = {b, c} through the other passage q
+    # of b and a factor k = {a, c} through the other passage r of a,
+    # both after i.  Neither can hold a second a or b, so c is a third
+    # chord.
     for i in range(total):
         a, b = w[i], w[(i + 1) % total]
         if a == b:
             continue
-        for j in by_label[b]:
-            if j <= i or not apart(i, j):
-                continue
-            c = w[j] if w[j] != b else w[(j + 1) % total]
-            # No side has the label pair {a, a}, so c == a finds no k.
-            for k in by_pair.get(frozenset((a, c)), ()):
-                if k > i and apart(i, k) and apart(j, k):
-                    x, y, z = index[a], index[b], index[c]
-                    internal = (masks[x] >> y & 1) + (masks[x] >> z & 1) + (masks[y] >> z & 1)
-                    kind = _KIND_BY_INTERNAL[internal]
+        q, r = other[(i + 1) % total], other[i]
+        for j, c in (((q - 1) % total, w[q - 1]), (q, w[(q + 1) % total])):
+            for k, d in (((r - 1) % total, w[r - 1]), (r, w[(r + 1) % total])):
+                if c == d and j > i < k and apart(i, j) and apart(i, k) and apart(j, k):
+                    kind = _KIND_BY_INTERNAL[crossed(a, b) + crossed(a, c) + crossed(b, c)]
                     sites.append(MoveSite(kind, tuple(sorted((i, j, k))), tuple(sorted((a, b, c)))))
     sites.sort(key=lambda site: site.positions)
     return tuple(sites)
@@ -256,32 +245,30 @@ def apply_move(word: Sequence[str], site: MoveSite) -> Word:
     return _apply(w, site)[0]
 
 
-def _result(w: Word, site: MoveSite) -> Word:
-    """The word a found site of ``w`` makes; a curl addition inserts ``fresh_label(w)``."""
-    if site.kind == MoveKind.CURL_ADD:
-        (slot,) = site.positions
-        label = fresh_label(w)
-        return w[:slot] + (label, label) + w[slot:]
-    if site.kind == MoveKind.CURL_DELETE:
-        (i,) = site.positions
-        return w[:i] + w[i + 2 :] if i + 1 < len(w) else w[1:i]
-    swapped = list(w)
-    for start in site.positions:
-        nxt = (start + 1) % len(w)
-        swapped[start], swapped[nxt] = w[nxt], w[start]
-    return tuple(swapped)
-
-
 def _apply(w: Word, site: MoveSite) -> Tuple[Word, Word]:
     """Apply a site that ``find_sites`` reported for ``w``; returns the result and its shape.
 
     The site is not checked again.  Both laws are, on every call: the
     result is canonicalized once, and the X law and the keeping of
     realizability compare that shape with ``w``.  Searches reach this
-    through the memo ``_moves_of``, so each (word, shape, kind) they
-    meet is law-checked once per process.
+    through the memo ``_moves_of``, so each (word, site) they meet is
+    applied and law-checked once per process.  A curl addition inserts
+    ``fresh_label(w)``.
     """
-    result = _result(w, site)
+    if site.kind == MoveKind.CURL_ADD:
+        (slot,) = site.positions
+        label = fresh_label(w)
+        result = w[:slot] + (label, label) + w[slot:]
+    elif site.kind == MoveKind.CURL_DELETE:
+        (i,) = site.positions
+        result = w[:i] + w[i + 2 :] if i + 1 < len(w) else w[1:i]
+    else:
+        swapped = list(w)
+        for start in site.positions:
+            nxt = (start + 1) % len(w)
+            swapped[start], swapped[nxt] = w[nxt], w[start]
+        result = tuple(swapped)
+
     shape = _canonical_cached(result)
     change = _cross_count(shape) - _cross_count(w)
     if change not in MOVE_LAWS[site.kind].dx:
@@ -301,18 +288,11 @@ def _moves_of(w: Word, kinds: FrozenSet[MoveKind]) -> Tuple[Tuple[MoveSite, Word
 
     ``w`` is a valid word and ``kinds`` a nonempty part of one move
     group.  The sites come from ``_group_sites``, in the order
-    ``find_sites`` gives them.  A curl at c (cyclically) lies between
-    slots c and c + 2, and inserting a curl at either gives the same
-    shape; so does deleting it or a curl at c + 2, with the two curl
-    labels swapped.  Of each such pair only the first site goes through
-    ``_apply``; the later one builds its own result, with the first
-    one's fresh label, and borrows its shape.  Every other site goes
-    through ``_apply``.  The law checks read only the word, the shape
-    and the kind, so every law is checked for each distinct (word,
-    shape, kind) when an entry is first computed; a MoveError
-    propagates and, as ``lru_cache`` stores no exception, is raised
-    again the next time.  A search under the strong or the weak moves
-    thus never applies the other triangle kinds.
+    ``find_sites`` gives them, and each is applied through ``_apply``,
+    so every law is checked when an entry is first computed; a
+    MoveError propagates and, as ``lru_cache`` stores no exception, is
+    raised again the next time.  A search under the strong or the weak
+    moves thus never applies the other triangle kinds.
 
     Memory: entries outlive the searches that fill them.  An entry of an
     n chord word holds O(n) sites (2n curl additions, at most n curl
@@ -325,28 +305,7 @@ def _moves_of(w: Word, kinds: FrozenSet[MoveKind]) -> Tuple[Tuple[MoveSite, Word
     holds the same site objects, one tuple per word (330 bytes on
     average over the 750 realizable 8 chord words).
     """
-    sites = _group_sites(w, kinds)
-    if not kinds <= MOVE_SETS["r1"]:
-        return tuple((site, *_apply(w, site)) for site in sites)
-    total = len(w)
-    curls = [c for c in range(total) if w[c] == w[(c + 1) % total]]
-    first_of: Dict[int, int] = {}
-    for c in curls:
-        d = (c + 2) % total
-        # Every slot is a curl addition site; a deletion pair needs two curls.
-        if kinds == _CURL_ADDS or d in curls:
-            first_of.setdefault(max(c, d), min(c, d))
-    made: Dict[int, Tuple[Word, Word]] = {}
-    for site in sites:
-        (t,) = site.positions
-        s = first_of.get(t, t)
-        if s == t:
-            made[t] = _apply(w, site)
-        elif kinds == _CURL_ADDS:  # the first result holds its fresh label at s and s + 1
-            made[t] = w[:t] + made[s][0][s : s + 2] + w[t:], made[s][1]
-        else:
-            made[t] = _result(w, site), made[s][1]
-    return tuple((site, *made[site.positions[0]]) for site in sites)
+    return tuple((site, *_apply(w, site)) for site in _group_sites(w, kinds))
 
 
 def _moves_from(w: Word, kinds: FrozenSet[MoveKind]) -> Iterator[Tuple[MoveSite, Word, Word]]:
@@ -354,8 +313,8 @@ def _moves_from(w: Word, kinds: FrozenSet[MoveKind]) -> Iterator[Tuple[MoveSite,
 
     ``w`` is a valid word.  Read only from the memo ``_moves_of``, one
     entry for the part of each move group that ``kinds`` holds: each
-    (word, site) is found and applied once per process while the memo
-    holds it.
+    (word, site) is found, applied and law-checked once per process
+    while the memo holds it.
     """
     for group in _GROUPS:
         wanted = group & kinds

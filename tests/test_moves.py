@@ -374,7 +374,7 @@ def memo_mismatches(words):
 
     ``sites`` counts every site of every word once.  Each entry for each
     part in ``_MEMO_PARTS`` must list the sites that ``find_sites``
-    gives, in its order, each with the result that ``_result`` builds
+    gives, in its order, each with the result that ``apply_move`` makes
     and that result's canonical form.
     """
     sites = mismatches = 0
@@ -384,7 +384,7 @@ def memo_mismatches(words):
             entry = moves._moves_of(word, kinds)
             mismatches += [site for site, _, _ in entry] != find_sites(word, kinds)
             mismatches += sum(
-                result != moves._result(word, site) or shape != canonical(result)
+                result != apply_move(word, site) or shape != canonical(result)
                 for site, result, shape in entry
             )
     return sites, mismatches
@@ -399,22 +399,9 @@ def test_the_memo_matches_find_sites_and_canonical_forms():
     assert mismatches == 0
 
 
-def test_curl_sites_beside_a_curl_share_one_apply_and_sites_are_found_once(monkeypatch):
-    applied = []
-    apply = moves._apply
-
-    def counted(w, site):
-        applied.append(site)
-        return apply(w, site)
-
+def test_a_word_s_triangle_sites_are_found_once_for_every_move_set():
     moves._moves_of.cache_clear()
     moves._triangle_sites.cache_clear()
-    monkeypatch.setattr(moves, "_apply", counted)
-    # Slots 0 and 2 lie on either side of the curl a a.
-    for word, calls in ((tuple("aabcbc"), 5), (tuple("abacbc"), 6)):
-        applied.clear()
-        assert len(neighbors(word, {MoveKind.CURL_ADD})) == 6
-        assert len(applied) == calls
     for name in ("strong", "weak", "both"):
         neighbors(FIGURE8, move_set(name))
     assert moves._triangle_sites.cache_info().misses == 1
