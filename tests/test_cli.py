@@ -29,12 +29,34 @@ TREFOIL_WORD = tuple(TREFOIL_TEXT.split())
 FIGURE8_TEXT = "a b c a d c b d"
 NONREALIZABLE_TEXT = "a b c d a b c d"
 FROZEN_TABLE_JSON = Path(__file__).resolve().parent.parent / "perfbench" / "frozen" / "table.json"
+TRANSCRIPT = json.loads((Path(__file__).resolve().parent / "cli_transcript.json").read_text())
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", TRANSCRIPT["cases"], ids=lambda case: " ".join(case["argv"]))
+def test_cli_transcript(capsys, tmp_path, case):
+    """One recorded invocation replays with the same exit code and stdout.
+
+    ``{dir}`` stands for a directory holding the transcript's corpus
+    files.  stderr is compared wherever the command line writes it; a
+    null stderr marks an argparse usage error, whose text varies across
+    Python versions.
+    """
+    for name, text in TRANSCRIPT["files"].items():
+        (tmp_path / name).write_text(text)
+    try:
+        code = main([arg.replace("{dir}", str(tmp_path)) for arg in case["argv"]])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (case["code"], case["stdout"])
+    if case["stderr"] is not None:
+        assert err.replace(str(tmp_path), "{dir}") == case["stderr"]
 
 
 def test_invariants_text(capsys):
