@@ -20,6 +20,7 @@ from .words import (
     _canonical_cached,
     _partners,
     chord_count,
+    format_word,
     interlacement_masks,
     prime_decompose,
     validate_word,
@@ -164,6 +165,20 @@ class InvariantReport:
     reduced: Word
     trefoil_summands: int
     realizable: bool
+
+    def to_dict(self) -> dict:
+        """The JSON schema of a report, as ``invariants --json`` and ``table --json`` print it."""
+        return {
+            "word": format_word(self.word),
+            "n": self.chords,
+            "X": self.cross_chords,
+            "X_mod3": self.cross_chords_mod3,
+            "tr": self.trivializing,
+            "H": self.h,
+            "reduced": format_word(self.reduced),
+            "trefoil_summands": self.trefoil_summands,
+            "realizable": self.realizable,
+        }
 
 
 def invariant_report(word: Sequence[str]) -> InvariantReport:
