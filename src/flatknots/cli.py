@@ -320,7 +320,11 @@ def _usage_error(args: argparse.Namespace) -> Optional[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits by itself: with 0 after --help, else on a usage error.
+        return EXIT_USAGE if exc.code else EXIT_OK
     problem = _usage_error(args)
     if problem is not None:
         print(problem, file=sys.stderr)

@@ -42,6 +42,26 @@ cost, which follows the number of frontiers.  The order is greedy: the
 next crossing is the one that leaves the fewest open ends, the first in
 chord order on a tie.  A sweep that needs more than ``MAX_FRONTIERS``
 frontiers stops with ``StateSumBudgetError``.
+
+The determinant runs no sweep.  Cut the curve at its n under passages
+into n arcs.  The coloring matrix has one row per crossing: 2 on the
+arc through the over passage, -1 on the arc entering the under passage
+and -1 on the arc leaving it, summed where two of them are one arc
+(Crowell and Fox, "Introduction to Knot Theory", 1963).  It is the
+Alexander matrix of the Wirtinger presentation at t = -1.  Which
+passage goes over fixes the arcs and each row, so the rotation bits are
+not needed: a crossing and its mirror image have the same row.  Every
+row sums to zero, so the columns add up to zero and striking any one
+column gives the same minor up to sign.  The Wirtinger relators, each
+conjugated, multiply to 1, and at t = -1 each conjugating word is a
+sign, so the rows satisfy one relation with coefficients +1 and -1 and
+striking any one row also gives the same minor up to sign.  Its
+absolute value is the determinant |Alexander(-1)|, which is also the
+absolute value of the normalized bracket at A^4 = -1.  The bracket
+multiplies over prime factors as shown above, and the writhe is the sum
+of the factors' writhes, so the determinant is the product of the
+factors' minors.  Each is taken by exact sparse integer elimination
+(``_abs_minor``).
 """
 
 from __future__ import annotations
@@ -60,10 +80,11 @@ from .laurent import (
 from .words import Word, _closed_blocks, chord_count, letters, positions, validate_word
 
 # The most frontiers a sweep may hold after any step, ten times the 429
-# that the torus closure T(7,8) needs (twist_family(28) needs 2).  On a
-# 2-CPU Xeon with Python 3.11, T(8,9) peaks at 1,430 and takes about 2 s
-# at 43 MB; T(9,10) would need 4,862, 9 s and 165 MB, and stops here
-# after 0.6 s.
+# that the torus closure T(7,8) needs (twist_family(28) needs 2).  It
+# guards the bracket and Jones only: the determinant runs no sweep.  On a
+# 2-CPU Xeon with Python 3.11, the bracket of T(8,9) peaks at 1,430 and
+# takes about 2 s at 43 MB; that of T(9,10) would need 4,862, 9 s and
+# 165 MB, and stops here after 0.6 s.
 MAX_FRONTIERS = 4096
 
 
@@ -296,23 +317,90 @@ def _writhe_normalized(bracket: Laurent, w: int) -> Laurent:
     return laurent_mul(monomial(-3 * w, 1 if w % 2 == 0 else -1), bracket)
 
 
-def determinant(diagram: Diagram) -> int:
-    """Absolute value of the normalized bracket at a fourth root sign.
+def _coloring_rows(diagram: Diagram) -> List[Dict[int, int]]:
+    """The coloring matrix, one row of arc -> coefficient per chord.
 
-    The normalized bracket of a single closed curve only carries
-    exponents divisible by four; substituting -1 for the fourth power
-    of the variable gives an integer whose absolute value does not
-    depend on the over-strand choices' handedness.
+    Rows follow first occurrence order.  Arc k runs from the k-th under
+    passage along the word to the next one, and arc 0 also holds the
+    passages before the first.  Row i has 2 on the arc through chord
+    i's over passage and -1 on each arc at its under passage, the one
+    entering it and the one leaving it.
     """
-    poly = jones_normalized(diagram)
-    value = 0
-    for exponent, coefficient in poly.items():
-        if exponent % 4 != 0:
-            raise RuntimeError(
-                f"normalized bracket exponent {exponent} not divisible by 4"
-            )
-        value += coefficient * (-1 if (exponent // 4) % 2 else 1)
-    return abs(value)
+    n = diagram.crossings
+    rows: List[Dict[int, int]] = [{} for _ in range(n)]
+    index: Dict[str, int] = {}
+    arc = 0
+    for label in diagram.word:
+        first = label not in index
+        i = index.setdefault(label, len(index))
+        row = rows[i]
+        if first == diagram.over_first[i]:
+            row[arc % n] = row.get(arc % n, 0) + 2
+        else:
+            for a in (arc % n, (arc + 1) % n):
+                row[a] = row.get(a, 0) - 1
+            arc += 1
+    return rows
+
+
+def _abs_minor(rows: List[Dict[int, int]]) -> int:
+    """|det| of the square sparse matrix ``rows`` less its last row and column.
+
+    Only unimodular row operations are used, so the absolute value of
+    the determinant never changes.  Each step takes a row with the
+    fewest entries and its entry of least absolute value, and clears the
+    rest of that entry's column by Euclid's algorithm: the row holding
+    the column's least entry, on the fewest entries, is subtracted from
+    the others until it is the only one left.  Expanding along the
+    column multiplies the answer by that entry and drops its row and
+    column.
+    """
+    last = len(rows) - 1
+    live = {r: {c: v for c, v in row.items() if c != last} for r, row in enumerate(rows[:last])}
+    holders: Dict[int, Set[int]] = {}
+    for r, row in live.items():
+        for c in row:
+            holders.setdefault(c, set()).add(r)
+    value = 1
+    while live:
+        row = min(live.values(), key=len)
+        if not row:
+            return 0
+        column = min(row, key=lambda c: abs(row[c]))
+        here = holders[column]
+        while len(here) > 1:
+            r = min(here, key=lambda x: (abs(live[x][column]), len(live[x])))
+            pivot = live[r]
+            for x in here - {r}:
+                row = live[x]
+                q = row[column] // pivot[column]
+                for c, v in pivot.items():
+                    new = row.get(c, 0) - q * v
+                    if new:
+                        row[c] = new
+                        holders[c].add(x)
+                    elif c in row:
+                        del row[c]
+                        holders[c].discard(x)
+        (r,) = holders.pop(column)
+        row = live.pop(r)
+        value *= abs(row.pop(column))
+        for c in row:
+            holders[c].discard(r)
+    return value
+
+
+def determinant(diagram: Diagram) -> int:
+    """The knot determinant: |det| of an (n-1) minor of the coloring matrix.
+
+    The product over the prime factors of the word, each factor's minor
+    taken by exact sparse elimination (see the module docstring).  No
+    state sum is run, so no budget applies.
+    """
+    value = 1
+    for factor in _factors(diagram):
+        value *= _abs_minor(_coloring_rows(factor))
+    return value
 
 
 def alternating_determinant(word: Sequence[str]) -> int:

@@ -49,10 +49,7 @@ def test_cli_transcript(capsys, tmp_path, case):
     """
     for name, text in TRANSCRIPT["files"].items():
         (tmp_path / name).write_text(text)
-    try:
-        code = main([arg.replace("{dir}", str(tmp_path)) for arg in case["argv"]])
-    except SystemExit as exc:
-        code = exc.code
+    code = main([arg.replace("{dir}", str(tmp_path)) for arg in case["argv"]])
     out, err = capsys.readouterr()
     assert (code, out) == (case["code"], case["stdout"])
     if case["stderr"] is not None:
@@ -401,6 +398,16 @@ def test_moves_errors(capsys):
     assert "--site must be in" in err
     code, _, err = run(capsys, "moves", "list", NONREALIZABLE_TEXT)
     assert code == 3
+
+
+def test_argparse_usage_errors_return_the_usage_code(capsys):
+    # argparse exits on its own errors; main returns the code instead.
+    code, out, err = run(capsys, "moves", "list", TREFOIL_TEXT, "--moves", "nope")
+    assert (code, out) == (2, "")
+    assert "--moves" in err and "nope" in err  # the wording varies across Python versions
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: flatknots")
 
 
 def test_explore_class(capsys):

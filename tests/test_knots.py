@@ -11,6 +11,7 @@ from flatknots import cli, knots
 from flatknots.corpus import load_corpus
 from flatknots.embedding import NotRealizableError, realize
 from flatknots.explore import enumerate_realizable, twist_family
+from flatknots.invariants import cross_chord_number
 from flatknots.knots import (
     _sweep,
     Diagram,
@@ -164,8 +165,45 @@ def test_twist_brackets_match_frozen_state_sums():
             assert pairs == frozen[str(n)][key], (n, key)
 
 
+def _at_a4_minus_one(poly):
+    """|poly| at A^4 = -1, for a normalized bracket, whose exponents are all multiples of 4."""
+    assert all(e % 4 == 0 for e in poly), sorted(poly)
+    return abs(sum(c * (-1) ** (e // 4) for e, c in poly.items()))
+
+
+def test_determinant_matches_the_state_sum_oracle_on_every_class_to_seven_chords():
+    rng = random.Random(31)
+    for n in range(8):
+        for word in enumerate_realizable(n):
+            for diagram in (positive_resolution(word), resolve(word, [rng.random() < 0.5 for _ in range(n)])):
+                bracket = bracket_state_sum(word, diagram.bits, diagram.over_first)
+                # Normalized up to its sign, which the absolute value drops.
+                normalized = {e - 3 * diagram.writhe: c for e, c in bracket.items()}
+                assert determinant(diagram) == _at_a4_minus_one(normalized), (word, diagram.over_first)
+
+
+def test_determinant_of_torus_closures_matches_the_sweep_and_goes_past_it():
+    # T(p, p+1) has determinant p or p + 1, whichever is odd.  From p = 9
+    # on, the bracket's sweep passes MAX_FRONTIERS.
+    for p in range(2, 13):
+        diagram = positive_resolution(torus_closure(p, p + 1))
+        assert determinant(diagram) == p | 1, p
+        if p <= 7:
+            assert _at_a4_minus_one(jones_normalized(diagram)) == p | 1, p
+
+
+def test_twist_pairs_share_the_positive_determinant():
+    # C13: the positive resolutions of T(2k-1) and T(2k) have one
+    # determinant, while X tells the two words apart.
+    for k in range(1, 21):
+        odd, even = twist_family(2 * k - 1), twist_family(2 * k)
+        assert determinant(positive_resolution(odd)) == 4 * k - 1, k
+        assert determinant(positive_resolution(even)) == 4 * k - 1, k
+        assert cross_chord_number(odd) != cross_chord_number(even)
+
+
 def test_determinant_is_odd_and_matches_spanning_count():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for word in enumerate_realizable(n):
             det = alternating_determinant(word)
             assert det % 2 == 1
@@ -349,6 +387,10 @@ def test_cli_maps_the_budget_error_to_its_exit_code(monkeypatch, capsys, action)
     monkeypatch.setattr(knots, "MAX_FRONTIERS", 4)
     code = cli.main(["knots", action, " ".join(torus_closure(3, 10))])
     out, err = capsys.readouterr()
+    if action == "det":
+        # The determinant runs no sweep, so the budget never stops it.
+        assert (code, out, err) == (cli.EXIT_OK, "3\n", "")
+        return
     assert code == cli.EXIT_BUDGET == 4
     assert out == ""
     assert err.startswith("budget exceeded: state sum needs more than 4 frontiers")
